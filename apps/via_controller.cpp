@@ -11,8 +11,8 @@
 //                  [--stripes N] [--solve-threads N] [--no-prewarm]
 //                  [--max-resident-pairs N] [--pair-ttl PERIODS]
 //                  [--max-inflight N]
-//                  [--backend legacy|epoll|uring] [--write-buffer-cap BYTES]
-//                  [--reactor-threads N] [--legacy-threads]
+//                  [--backend epoll|uring] [--write-buffer-cap BYTES]
+//                  [--reactor-threads N]
 //                  [--probe-backend uring]
 //                  [--replica-id N] [--peers P1,P2,...] [--ring-seed S]
 //                  [--ring-epoch E] [--gossip-period MS]
@@ -30,25 +30,19 @@
 // Without --peers the controller runs standalone, bit-identical to the
 // pre-federation daemon.
 //
-// --backend legacy|epoll|uring: serving backend (DESIGN.md §6j).  `epoll`
-// (the default) and `uring` serve every connection from an event-driven
-// reactor behind the same dispatch path; `uring` uses one io_uring ring
-// per worker and falls back to epoll — counted and flight-recorded — when
-// the kernel cannot run it.  `legacy` is the thread-per-connection loop.
+// --backend epoll|uring: serving backend (DESIGN.md §6j).  Both serve
+// every connection from an event-driven reactor behind the same dispatch
+// path; `uring` uses one io_uring ring per worker and falls back to epoll
+// (the default) — counted and flight-recorded — when the kernel cannot
+// run it.
 //
 // --write-buffer-cap BYTES: per-connection reply-queue cap (default 4 MiB).
 // A connection whose unsent replies reach the cap stops being *read* until
 // its queue drains under half the cap, so one slow consumer cannot balloon
 // server memory (rpc.server.backpressure.* counts pauses).
 //
-// --reactor-threads N: event-loop workers for the epoll/io_uring backends
-// (DESIGN.md §6h).  The daemon defaults to half the hardware threads
-// (clamped to [2, 8]); the flight recorder still captures shed,
-// protocol-error, drain, and backpressure events in these modes.
-//
-// --legacy-threads: revert to the thread-per-connection accept loop
-// (equivalent to --backend legacy); kept for one release as an escape
-// hatch.
+// --reactor-threads N: event-loop workers (DESIGN.md §6h), N >= 1.  The
+// daemon defaults to half the hardware threads, clamped to [2, 8].
 //
 // --probe-backend uring: capability probe — exit 0 when this kernel can
 // run the io_uring backend, 3 when it cannot.  CI uses this to decide
@@ -73,10 +67,10 @@
 // snapshot every MS milliseconds (queryable while running via /varz
 // consumers; dumped as JSON on shutdown with --metrics-dump).
 //
-// --max-inflight N: overload shedding — when more than N connections are
-// mid-request, new DecisionRequest/Report/Refresh frames get an explicit
-// Busy reply instead of queueing (clients retry with backoff).  0 (the
-// default) disables shedding.
+// --max-inflight N: overload shedding — when more than N requests are
+// decoded but not yet answered, new DecisionRequest/Report/Refresh frames
+// get an explicit Busy reply instead of queueing (clients retry with
+// backoff).  0 (the default) disables shedding.
 //
 // --stripes N: serving-state lock stripes (power of two, max 64).  The
 // daemon defaults to 16 so concurrent clients' decisions for unrelated AS
@@ -119,6 +113,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -211,8 +206,8 @@ int main(int argc, char** argv) {
       static_cast<int>(std::thread::hardware_concurrency());
   BackboneTable backbone;
   ServerConfig server_config;
-  // Daemon default: event-driven serving (§6h) with half the hardware
-  // threads, clamped to [2, 8]; --legacy-threads restores the old model.
+  // Daemon default: half the hardware threads as reactor workers (§6h),
+  // clamped to [2, 8].
   server_config.reactor_threads =
       std::clamp(static_cast<int>(std::thread::hardware_concurrency()) / 2, 2, 8);
   bool metrics_dump = false;
@@ -260,28 +255,24 @@ int main(int argc, char** argv) {
         server_config.max_inflight = std::stoll(next());
       } else if (arg == "--reactor-threads") {
         server_config.reactor_threads = std::stoi(next());
-      } else if (arg == "--legacy-threads") {
-        server_config.reactor_threads = 0;
-        server_config.backend = ServingBackend::kLegacy;
+        if (server_config.reactor_threads < 1) {
+          throw std::invalid_argument("--reactor-threads must be >= 1");
+        }
       } else if (arg == "--backend") {
         const std::string mode = next();
-        if (mode == "legacy") {
-          server_config.backend = ServingBackend::kLegacy;
-          server_config.reactor_threads = 0;
-        } else if (mode == "epoll") {
+        if (mode == "epoll") {
           server_config.backend = ServingBackend::kEpoll;
         } else if (mode == "uring") {
           server_config.backend = ServingBackend::kUring;
         } else {
-          throw std::runtime_error("unknown backend: " + mode +
-                                   " (expected legacy|epoll|uring)");
+          throw std::runtime_error("unknown backend: " + mode + " (expected epoll|uring)");
         }
       } else if (arg == "--probe-backend") {
         // Capability probe for CI: exit 0 when the named backend can run
         // here, 3 when it cannot, without starting a server.
         const std::string mode = next();
         if (mode == "uring") return UringReactor::supported() ? 0 : 3;
-        return mode == "epoll" || mode == "legacy" ? 0 : 3;
+        return mode == "epoll" ? 0 : 3;
       } else if (arg == "--write-buffer-cap") {
         server_config.write_buffer_cap = std::stoull(next());
       } else if (arg == "--replica-id") {
@@ -320,9 +311,8 @@ int main(int argc, char** argv) {
                      "                      [--stripes N] [--solve-threads N] [--no-prewarm]\n"
                      "                      [--max-resident-pairs N] [--pair-ttl PERIODS]\n"
                      "                      [--max-inflight N]\n"
-                     "                      [--backend legacy|epoll|uring]\n"
-                     "                      [--write-buffer-cap BYTES]\n"
-                     "                      [--reactor-threads N] [--legacy-threads]\n"
+                     "                      [--backend epoll|uring] [--write-buffer-cap BYTES]\n"
+                     "                      [--reactor-threads N]\n"
                      "                      [--probe-backend uring]\n"
                      "                      [--replica-id N] [--peers P1,P2,...]\n"
                      "                      [--ring-seed S] [--ring-epoch E]\n"
@@ -441,14 +431,9 @@ int main(int argc, char** argv) {
       std::cout << "admin http on 127.0.0.1:" << http->port()
                 << " (/metrics /healthz /varz /trace /flightrecord)\n";
     }
-    std::cout << "via_controller listening on 127.0.0.1:" << server.port() << " (";
-    if (server.serving_backend() != ServingBackend::kLegacy) {
-      std::cout << serving_backend_name(server.serving_backend()) << " reactor x"
-                << std::max(server_config.reactor_threads, 2);
-    } else {
-      std::cout << "thread-per-connection";
-    }
-    std::cout << ", metric "
+    std::cout << "via_controller listening on 127.0.0.1:" << server.port() << " ("
+              << serving_backend_name(server.serving_backend()) << " reactor x"
+              << server_config.reactor_threads << ", metric "
               << metric_name(config.target) << ", epsilon " << config.epsilon << ", budget "
               << config.budget.fraction << ", refresh "
               << config.refresh_period / 3600 << "h, stripes "

@@ -45,9 +45,12 @@ std::vector<std::size_t> ReactorBase::worker_connection_counts() const {
 std::size_t ReactorBase::pick_worker() {
   // Only the acceptor thread picks, so a plain scan is race-free; the
   // loads themselves are atomics because workers decrement them on close.
-  std::size_t best = 0;
-  std::size_t best_load = worker_loads_[0].load(std::memory_order_relaxed);
-  for (std::size_t i = 1; i < worker_loads_.size(); ++i) {
+  // Ties go to the highest-index worker: worker 0 also accepts, so it takes
+  // a connection only when strictly least loaded, and a slow request there
+  // stalls as few connections (and accepts) as possible.
+  std::size_t best = worker_loads_.size() - 1;
+  std::size_t best_load = worker_loads_[best].load(std::memory_order_relaxed);
+  for (std::size_t i = best; i-- > 0;) {
     const std::size_t load = worker_loads_[i].load(std::memory_order_relaxed);
     if (load < best_load) {
       best = i;

@@ -7,7 +7,9 @@
 // time to the worker with the fewest live connections and stay pinned for
 // their whole life, so every connection's reads, handler calls, and writes
 // happen on exactly one thread and per-connection state needs no locking.
-// Worker 0 additionally owns the (non-blocking) listener.
+// Worker 0 additionally owns the (non-blocking) listener, so pinning breaks
+// ties away from it: worker 0 takes a connection only when it is strictly
+// the least loaded.
 //
 // Each wakeup runs two phases over the ready set:
 //   1. drain: recv into every readable connection's ReadBuffer and decode

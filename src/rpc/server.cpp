@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -62,16 +62,6 @@ class PolicyLock {
 };
 }  // namespace
 
-/// Destination-agnostic reply channel shared by both serving modes: the
-/// legacy path writes frames straight to the socket, the reactor path
-/// queues them on the connection's WriteBuffer.
-struct ControllerServer::ReplySink {
-  virtual void send(MsgType type, std::span<const std::byte> payload) = 0;
-
- protected:
-  ~ReplySink() = default;
-};
-
 ControllerServer::ControllerServer(RoutingPolicy& policy, std::uint16_t port, ServerConfig config)
     : policy_(&policy),
       config_(config),
@@ -107,6 +97,9 @@ ControllerServer::ControllerServer(RoutingPolicy& policy, std::uint16_t port, Se
       listener_(port),
       timeseries_recorder_(&telemetry_.registry,
                            static_cast<double>(config.timeseries_window_ms) / 1000.0) {
+  if (config_.reactor_threads < 1) {
+    throw std::invalid_argument("ServerConfig::reactor_threads must be >= 1");
+  }
   policy_->attach_telemetry(&telemetry_);
 }
 
@@ -118,13 +111,6 @@ ControllerServer::~ControllerServer() {
 void ControllerServer::start() {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true)) return;
-  {
-    const std::lock_guard lock(refresh_mutex_);
-    builder_stop_ = false;
-  }
-  if (policy_concurrent_) {
-    builder_thread_ = std::thread([this] { builder_loop(); });
-  }
   if (config_.timeseries_window_ms > 0) {
     {
       const std::lock_guard lock(timeseries_mutex_);
@@ -132,14 +118,10 @@ void ControllerServer::start() {
     }
     timeseries_thread_ = std::thread([this] { timeseries_loop(); });
   }
-  // Backend resolution (§6j): an explicit backend wins; reactor_threads >
-  // 0 with the default kLegacy keeps meaning "epoll", preserving the §6h
-  // knob's behavior.  kUring degrades to epoll when the kernel can't run
-  // it, with a counter and a flight note so the fallback is observable.
+  // Backend resolution (§6j): kUring degrades to epoll when the kernel
+  // can't run it, with a counter and a flight note so the fallback is
+  // observable.
   ServingBackend want = config_.backend;
-  if (want == ServingBackend::kLegacy && config_.reactor_threads > 0) {
-    want = ServingBackend::kEpoll;
-  }
   if (want == ServingBackend::kUring && !UringReactor::supported()) {
     tel_uring_fallbacks_->inc();
     if (flight_ != nullptr) {
@@ -149,65 +131,61 @@ void ControllerServer::start() {
     want = ServingBackend::kEpoll;
   }
   active_backend_ = want;
-  if (want != ServingBackend::kLegacy) {
-    ReactorConfig rconfig;
-    rconfig.workers = config_.reactor_threads > 0 ? config_.reactor_threads : 2;
-    rconfig.drain_timeout_ms = config_.drain_timeout_ms;
-    rconfig.write_buffer_cap = config_.write_buffer_cap;
-    rconfig.worker_write_cap = config_.worker_write_cap;
-    ReactorHooks hooks;
-    hooks.on_accept = [this] { tel_accepted_->inc(); };
-    // Decoded-but-unanswered frames count as inflight (§6h): charging them
-    // here, before any dispatch, is what lets the shed check see a burst
-    // that arrived within a single readiness event.
-    hooks.on_decoded = [this](std::size_t n) {
-      const std::int64_t now =
-          inflight_.fetch_add(static_cast<std::int64_t>(n)) + static_cast<std::int64_t>(n);
-      tel_inflight_->set(static_cast<double>(now));
-    };
-    // Frames the reactor dropped without dispatching (connection closed
-    // while paused) settle the same accounting.
-    hooks.on_dropped = [this](std::size_t n) { note_requests_done(n); };
-    hooks.on_forced_close = [this](int fd) {
-      tel_forced_closes_->inc();
-      if (flight_ != nullptr) {
-        flight_->record(obs::FlightEventKind::DrainForcedClose,
-                        "drain timeout: connection forced shut", fd);
-      }
-    };
-    hooks.on_conn_error = [this] { tel_conn_errors_->inc(); };
-    hooks.on_pause = [this](int fd, std::size_t queued) {
-      tel_bp_pauses_->inc();
-      tel_bp_paused_->set(static_cast<double>(reactor_->paused_connections()));
-      tel_bp_queued_->set(static_cast<double>(reactor_->queued_bytes()));
-      if (flight_ != nullptr) {
-        flight_->record(obs::FlightEventKind::BackpressurePause, "write queue over cap", fd,
-                        static_cast<std::int64_t>(queued));
-      }
-    };
-    hooks.on_resume = [this](int fd, std::size_t queued) {
-      tel_bp_paused_->set(static_cast<double>(reactor_->paused_connections()));
-      tel_bp_queued_->set(static_cast<double>(reactor_->queued_bytes()));
-      if (flight_ != nullptr) {
-        flight_->record(obs::FlightEventKind::BackpressureResume, "write queue drained", fd,
-                        static_cast<std::int64_t>(queued));
-      }
-    };
-    auto on_frames = [this](ReactorConn& conn, std::span<Frame> frames) {
-      return handle_reactor_frames(conn, frames);
-    };
-    auto on_error = [this](ReactorConn& conn, const ProtocolError& e) {
-      reactor_protocol_error(conn, e);
-    };
-    if (want == ServingBackend::kUring) {
-      reactor_ = std::make_unique<UringReactor>(listener_, on_frames, on_error, rconfig, hooks);
-    } else {
-      reactor_ = std::make_unique<Reactor>(listener_, on_frames, on_error, rconfig, hooks);
+  ReactorConfig rconfig;
+  rconfig.workers = config_.reactor_threads;
+  rconfig.drain_timeout_ms = config_.drain_timeout_ms;
+  rconfig.write_buffer_cap = config_.write_buffer_cap;
+  rconfig.worker_write_cap = config_.worker_write_cap;
+  ReactorHooks hooks;
+  hooks.on_accept = [this] { tel_accepted_->inc(); };
+  // Decoded-but-unanswered frames count as inflight (§6h): charging them
+  // here, before any dispatch, is what lets the shed check see a burst
+  // that arrived within a single readiness event.
+  hooks.on_decoded = [this](std::size_t n) {
+    const std::int64_t now =
+        inflight_.fetch_add(static_cast<std::int64_t>(n)) + static_cast<std::int64_t>(n);
+    tel_inflight_->set(static_cast<double>(now));
+  };
+  // Frames the reactor dropped without dispatching (connection closed
+  // while paused) settle the same accounting.
+  hooks.on_dropped = [this](std::size_t n) { note_requests_done(n); };
+  hooks.on_forced_close = [this](int fd) {
+    tel_forced_closes_->inc();
+    if (flight_ != nullptr) {
+      flight_->record(obs::FlightEventKind::DrainForcedClose,
+                      "drain timeout: connection forced shut", fd);
     }
-    reactor_->start();
+  };
+  hooks.on_conn_error = [this] { tel_conn_errors_->inc(); };
+  hooks.on_pause = [this](int fd, std::size_t queued) {
+    tel_bp_pauses_->inc();
+    tel_bp_paused_->set(static_cast<double>(reactor_->paused_connections()));
+    tel_bp_queued_->set(static_cast<double>(reactor_->queued_bytes()));
+    if (flight_ != nullptr) {
+      flight_->record(obs::FlightEventKind::BackpressurePause, "write queue over cap", fd,
+                      static_cast<std::int64_t>(queued));
+    }
+  };
+  hooks.on_resume = [this](int fd, std::size_t queued) {
+    tel_bp_paused_->set(static_cast<double>(reactor_->paused_connections()));
+    tel_bp_queued_->set(static_cast<double>(reactor_->queued_bytes()));
+    if (flight_ != nullptr) {
+      flight_->record(obs::FlightEventKind::BackpressureResume, "write queue drained", fd,
+                      static_cast<std::int64_t>(queued));
+    }
+  };
+  auto on_frames = [this](ReactorConn& conn, std::span<Frame> frames) {
+    return handle_reactor_frames(conn, frames);
+  };
+  auto on_error = [this](ReactorConn& conn, const ProtocolError& e) {
+    send_protocol_error(conn, 0, e);
+  };
+  if (want == ServingBackend::kUring) {
+    reactor_ = std::make_unique<UringReactor>(listener_, on_frames, on_error, rconfig, hooks);
   } else {
-    accept_thread_ = std::thread([this] { accept_loop(); });
+    reactor_ = std::make_unique<Reactor>(listener_, on_frames, on_error, rconfig, hooks);
   }
+  reactor_->start();
 }
 
 std::size_t ControllerServer::backpressure_paused_conns() const noexcept {
@@ -255,160 +233,36 @@ obs::TimeSeries ControllerServer::timeseries() const {
 
 void ControllerServer::stop() {
   if (!running_.exchange(false)) return;
-  if (reactor_ != nullptr) {
-    // Reactor drains first, while the builder is still alive: a worker may
-    // be blocked in run_refresh() waiting on its builder ticket, and
-    // stopping the builder before that ticket completes would deadlock the
-    // drain.
-    reactor_->stop();
-    ::shutdown(listener_.fd(), SHUT_RDWR);
-  } else {
-    // Unblock accept() by shutting the listening socket down.
-    ::shutdown(listener_.fd(), SHUT_RDWR);
-    if (accept_thread_.joinable()) accept_thread_.join();
-  }
-  // Tell the builder to drain outstanding refresh tickets and exit; any
-  // handler still waiting on a ticket is released by the drain, and new
-  // Refresh requests fall back to the inline-exclusive path from here on.
-  {
-    const std::lock_guard lock(refresh_mutex_);
-    builder_stop_ = true;
-  }
-  refresh_work_cv_.notify_all();
+  if (reactor_ != nullptr) reactor_->stop();
+  ::shutdown(listener_.fd(), SHUT_RDWR);
   {
     const std::lock_guard lock(timeseries_mutex_);
     timeseries_stop_ = true;
   }
   timeseries_cv_.notify_all();
   if (timeseries_thread_.joinable()) timeseries_thread_.join();
-  // Handlers splice themselves onto finished_ as their last act; drain
-  // until every live handler has come through, then join them all.
-  // Graceful drain (§6f): give in-flight requests drain_timeout_ms to
-  // finish on their own, then force the remaining connections' sockets
-  // shut — their handlers wake with a read error and exit.
-  std::list<std::thread> done;
+}
+
+bool ControllerServer::run_refresh(TimeSec now) {
+  const std::lock_guard serial(refresh_mutex_);
+  if (now <= last_refresh_now_) return false;
+  // Build the next model while decisions keep flowing (shared lock)...
   {
-    std::unique_lock lock(handlers_mutex_);
-    const bool drained =
-        handlers_cv_.wait_for(lock, std::chrono::milliseconds(config_.drain_timeout_ms),
-                              [this] { return handlers_.empty(); });
-    if (!drained) {
-      for (const int fd : conn_fds_) {
-        ::shutdown(fd, SHUT_RDWR);
-        tel_forced_closes_->inc();
-        if (flight_ != nullptr) {
-          flight_->record(obs::FlightEventKind::DrainForcedClose,
-                          "drain timeout: connection forced shut", fd);
-        }
-      }
-      handlers_cv_.wait(lock, [this] { return handlers_.empty(); });
-    }
-    done.splice(done.end(), finished_);
+    const std::shared_lock lock(policy_mutex_);
+    policy_->prepare_refresh(now);
   }
-  if (builder_thread_.joinable()) builder_thread_.join();
-  for (auto& t : done) {
-    if (t.joinable()) t.join();
+  // ...then stall serving only for the publish.
+  {
+    const obs::ScopedTimer stall_timer(*tel_refresh_stall_us_);
+    const std::unique_lock lock(policy_mutex_);
+    policy_->commit_refresh(now);
   }
-}
-
-void ControllerServer::builder_loop() {
-  for (;;) {
-    TimeSec now = 0;
-    {
-      std::unique_lock lock(refresh_mutex_);
-      refresh_work_cv_.wait(lock, [this] { return builder_stop_ || !refresh_queue_.empty(); });
-      if (refresh_queue_.empty()) return;  // builder_stop_ and drained
-      now = refresh_queue_.front();
-      refresh_queue_.pop_front();
-    }
-    // Build the next model while decisions keep flowing (shared lock)...
-    {
-      std::shared_lock lock(policy_mutex_);
-      policy_->prepare_refresh(now);
-    }
-    // ...then stall serving only for the publish.
-    {
-      const obs::ScopedTimer stall_timer(*tel_refresh_stall_us_);
-      const std::unique_lock lock(policy_mutex_);
-      policy_->commit_refresh(now);
-    }
-    {
-      const std::lock_guard lock(refresh_mutex_);
-      ++refresh_completed_;
-    }
-    refresh_done_cv_.notify_all();
-  }
-}
-
-void ControllerServer::run_refresh(TimeSec now) {
-  if (policy_concurrent_) {
-    std::uint64_t ticket = 0;
-    bool queued = false;
-    {
-      const std::lock_guard lock(refresh_mutex_);
-      if (!builder_stop_) {
-        refresh_queue_.push_back(now);
-        ticket = ++refresh_requested_;
-        queued = true;
-      }
-    }
-    if (queued) {
-      refresh_work_cv_.notify_one();
-      std::unique_lock lock(refresh_mutex_);
-      refresh_done_cv_.wait(lock, [this, ticket] { return refresh_completed_ >= ticket; });
-      return;
-    }
-    // Server shutting down: fall through to the inline path so the client
-    // still gets its ack.
-  }
-  // Model rebuilds are always exclusive for policies without the
-  // concurrent-safe capability (see RoutingPolicy contract).
-  const obs::ScopedTimer stall_timer(*tel_refresh_stall_us_);
-  const std::unique_lock lock(policy_mutex_);
-  policy_->refresh(now);
+  last_refresh_now_ = now;
+  return true;
 }
 
 std::size_t ControllerServer::active_handlers() const {
-  if (reactor_ != nullptr) return reactor_->connection_count();
-  const std::lock_guard lock(handlers_mutex_);
-  return handlers_.size();
-}
-
-void ControllerServer::reap_finished() {
-  std::list<std::thread> done;
-  {
-    const std::lock_guard lock(handlers_mutex_);
-    done.splice(done.end(), finished_);
-  }
-  for (auto& t : done) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void ControllerServer::accept_loop() {
-  while (running_.load()) {
-    TcpConnection conn;
-    try {
-      conn = listener_.accept();
-    } catch (const std::exception&) {
-      break;  // listener shut down
-    }
-    if (!running_.load()) break;
-    tel_accepted_->inc();
-    // Join handlers whose clients already disconnected, so the
-    // bookkeeping tracks live connections rather than growing with every
-    // connection ever accepted.
-    reap_finished();
-    const std::lock_guard lock(handlers_mutex_);
-    handlers_.emplace_back();
-    const auto self = std::prev(handlers_.end());
-    *self = std::thread([this, self, c = std::move(conn)]() mutable {
-      handle_connection(std::move(c));
-      const std::lock_guard relock(handlers_mutex_);
-      finished_.splice(finished_.end(), handlers_, self);
-      handlers_cv_.notify_all();
-    });
-  }
+  return reactor_ != nullptr ? reactor_->connection_count() : 0;
 }
 
 bool ControllerServer::note_report_seen(const Observation& obs) {
@@ -425,82 +279,12 @@ bool ControllerServer::note_report_seen(const Observation& obs) {
   return true;
 }
 
-void ControllerServer::handle_connection(TcpConnection conn) {
-  // Register the live socket so a drain timeout can force it shut; the
-  // guard unregisters while `conn` is still open (destroyed before the
-  // parameter), so a forced ::shutdown never hits a recycled fd.
-  {
-    const std::lock_guard lock(handlers_mutex_);
-    conn_fds_.insert(conn.fd());
-  }
-  struct FdGuard {
-    ControllerServer* server;
-    int fd;
-    ~FdGuard() {
-      const std::lock_guard lock(server->handlers_mutex_);
-      server->conn_fds_.erase(fd);
-    }
-  } fd_guard{this, conn.fd()};
-  // Writes reply frames straight to the client socket (legacy mode).
-  struct SocketSink final : ReplySink {
-    explicit SocketSink(ControllerServer* s, TcpConnection* c) : server(s), conn(c) {}
-    void send(MsgType type, std::span<const std::byte> payload) override {
-      send_frame(*conn, static_cast<std::uint8_t>(type), payload);
-    }
-    ControllerServer* server;
-    TcpConnection* conn;
-  };
-  SocketSink sink(this, &conn);
-  Frame frame;
-  try {
-    while (recv_frame(conn, frame)) {
-      tel_bytes_in_->inc(static_cast<std::int64_t>(frame.payload.size()) + kFrameHeaderBytes);
-      const obs::ScopedTimer request_timer(*tel_request_us_);
-      // Requests currently being served across all handler threads; the
-      // gauge tracks it so GetStats shows live server pressure.
-      const std::int64_t inflight_now = inflight_.fetch_add(1) + 1;
-      tel_inflight_->set(static_cast<double>(inflight_now));
-      struct InflightGuard {
-        ControllerServer* server;
-        ~InflightGuard() {
-          server->tel_inflight_->set(
-              static_cast<double>(server->inflight_.fetch_sub(1) - 1));
-        }
-      } inflight_guard{this};
-      // Overload shedding (§6f): past the inflight cap, work-generating
-      // requests get an immediate Busy instead of queueing on the policy
-      // lock; the client backs off and retries.  GetStats/Shutdown always
-      // go through — operators need visibility and control most when the
-      // server is drowning.
-      const auto msg_type = static_cast<MsgType>(frame.type);
-      const bool sheddable = msg_type == MsgType::DecisionRequest ||
-                             msg_type == MsgType::Report || msg_type == MsgType::Refresh;
-      if (config_.max_inflight > 0 && sheddable && inflight_now > config_.max_inflight) {
-        send_busy(sink, frame.type, inflight_now);
-        continue;
-      }
-      if (!dispatch_frame(frame, sink)) return;
-    }
-  } catch (const ProtocolError& e) {
-    // Malformed frame (§6f): tell the client what broke, then drop the
-    // connection — after a framing violation the stream can't be trusted.
-    try {
-      send_protocol_error(sink, frame.type, e);
-    } catch (const std::exception&) {
-      // The socket may already be gone; closing is all that's left.
-    }
-  } catch (const std::exception&) {
-    // A broken client connection only terminates its own handler.
-    tel_conn_errors_->inc();
-  }
-}
-
-bool ControllerServer::dispatch_frame(const Frame& frame, ReplySink& sink) {
+bool ControllerServer::dispatch_frame(const Frame& frame, ReactorConn& conn) {
   WireReader reader(frame.payload);
   WireWriter writer;
   auto reply = [&](MsgType type) {
     tel_bytes_out_->inc(static_cast<std::int64_t>(writer.bytes().size()) + kFrameHeaderBytes);
-    sink.send(type, writer.bytes());
+    conn.send(static_cast<std::uint8_t>(type), writer.bytes());
   };
   switch (static_cast<MsgType>(frame.type)) {
     case MsgType::DecisionRequest: {
@@ -561,15 +345,7 @@ bool ControllerServer::dispatch_frame(const Frame& frame, ReplySink& sink) {
       // rebuilding: refresh(now) is not idempotent — it advances decay
       // and re-randomizes exploration — so the dedup is what makes
       // client-side Refresh retries safe.
-      if (msg.now <= last_refresh_now_.load()) {
-        tel_dup_refreshes_->inc();
-        reply(MsgType::RefreshAck);
-        break;
-      }
-      run_refresh(msg.now);
-      TimeSec prev = last_refresh_now_.load();
-      while (msg.now > prev && !last_refresh_now_.compare_exchange_weak(prev, msg.now)) {
-      }
+      if (!run_refresh(msg.now)) tel_dup_refreshes_->inc();
       reply(MsgType::RefreshAck);
       break;
     }
@@ -645,7 +421,7 @@ bool ControllerServer::dispatch_frame(const Frame& frame, ReplySink& sink) {
   return true;
 }
 
-void ControllerServer::send_busy(ReplySink& sink, std::uint8_t frame_type,
+void ControllerServer::send_busy(ReactorConn& conn, std::uint8_t frame_type,
                                  std::int64_t inflight_now) {
   tel_busy_->inc();
   if (flight_ != nullptr) {
@@ -653,10 +429,10 @@ void ControllerServer::send_busy(ReplySink& sink, std::uint8_t frame_type,
                     static_cast<std::int64_t>(frame_type), inflight_now);
   }
   tel_bytes_out_->inc(kFrameHeaderBytes);
-  sink.send(MsgType::Busy, {});
+  conn.send(static_cast<std::uint8_t>(MsgType::Busy), {});
 }
 
-void ControllerServer::send_protocol_error(ReplySink& sink, std::uint8_t frame_type,
+void ControllerServer::send_protocol_error(ReactorConn& conn, std::uint8_t frame_type,
                                            const ProtocolError& e) {
   tel_protocol_errors_->inc();
   if (flight_ != nullptr) {
@@ -666,7 +442,7 @@ void ControllerServer::send_protocol_error(ReplySink& sink, std::uint8_t frame_t
   WireWriter writer;
   ErrorMsg{frame_type, e.what()}.encode(writer);
   tel_bytes_out_->inc(static_cast<std::int64_t>(writer.bytes().size()) + kFrameHeaderBytes);
-  sink.send(MsgType::Error, writer.bytes());
+  conn.send(static_cast<std::uint8_t>(MsgType::Error), writer.bytes());
 }
 
 void ControllerServer::note_requests_done(std::size_t n) {
@@ -676,14 +452,6 @@ void ControllerServer::note_requests_done(std::size_t n) {
 }
 
 std::size_t ControllerServer::handle_reactor_frames(ReactorConn& conn, std::span<Frame> frames) {
-  struct ReactorSink final : ReplySink {
-    explicit ReactorSink(ReactorConn* c) : conn(c) {}
-    void send(MsgType type, std::span<const std::byte> payload) override {
-      conn->send(static_cast<std::uint8_t>(type), payload);
-    }
-    ReactorConn* conn;
-  };
-  ReactorSink sink(&conn);
   // Inflight was charged when these frames were decoded (the on_decoded
   // hook).  The return value tells the reactor how many frames this call
   // disposed of; frames it kept (write-capped partial return) stay charged
@@ -728,9 +496,9 @@ std::size_t ControllerServer::handle_reactor_frames(ReactorConn& conn, std::span
       if (run >= 2) {
         bool keep_open = true;
         try {
-          process_decision_batch(frames.subspan(i, run), sink);
+          process_decision_batch(frames.subspan(i, run), conn);
         } catch (const ProtocolError& e) {
-          send_protocol_error(sink, static_cast<std::uint8_t>(MsgType::DecisionRequest), e);
+          send_protocol_error(conn, static_cast<std::uint8_t>(MsgType::DecisionRequest), e);
           keep_open = false;
         }
         note_requests_done(run);
@@ -753,12 +521,12 @@ std::size_t ControllerServer::handle_reactor_frames(ReactorConn& conn, std::span
                              msg_type == MsgType::Report || msg_type == MsgType::Refresh;
       const std::int64_t inflight_now = inflight_.load();
       if (config_.max_inflight > 0 && sheddable && inflight_now > config_.max_inflight) {
-        send_busy(sink, frame.type, inflight_now);
+        send_busy(conn, frame.type, inflight_now);
       } else {
         try {
-          keep_open = dispatch_frame(frame, sink);
+          keep_open = dispatch_frame(frame, conn);
         } catch (const ProtocolError& e) {
-          send_protocol_error(sink, frame.type, e);
+          send_protocol_error(conn, frame.type, e);
           keep_open = false;
         }
       }
@@ -774,7 +542,7 @@ std::size_t ControllerServer::handle_reactor_frames(ReactorConn& conn, std::span
   return frames.size();
 }
 
-void ControllerServer::process_decision_batch(std::span<Frame> frames, ReplySink& sink) {
+void ControllerServer::process_decision_batch(std::span<Frame> frames, ReactorConn& conn) {
   // One histogram observation for the whole run: request_us then reflects
   // per-wakeup serving cost instead of synthetic per-frame slices.
   const obs::ScopedTimer request_timer(*tel_request_us_);
@@ -821,23 +589,9 @@ void ControllerServer::process_decision_batch(std::span<Frame> frames, ReplySink
     resp.ring_epoch = config_.ring_epoch;
     resp.encode(writer);
     tel_bytes_out_->inc(static_cast<std::int64_t>(writer.bytes().size()) + kFrameHeaderBytes);
-    sink.send(MsgType::DecisionResponse, writer.bytes());
+    conn.send(static_cast<std::uint8_t>(MsgType::DecisionResponse), writer.bytes());
   }
   if (decode_error) std::rethrow_exception(decode_error);
-}
-
-void ControllerServer::reactor_protocol_error(ReactorConn& conn, const ProtocolError& e) {
-  struct ReactorSink final : ReplySink {
-    explicit ReactorSink(ReactorConn* c) : conn(c) {}
-    void send(MsgType type, std::span<const std::byte> payload) override {
-      conn->send(static_cast<std::uint8_t>(type), payload);
-    }
-    ReactorConn* conn;
-  };
-  ReactorSink sink(&conn);
-  // Decode-level violation (oversized frame): there is no decoded request
-  // type to echo back.
-  send_protocol_error(sink, 0, e);
 }
 
 }  // namespace via

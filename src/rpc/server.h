@@ -1,25 +1,22 @@
-// Controller server: hosts a RoutingPolicy behind the TCP protocol, in one
-// of two serving modes.  The legacy mode spawns one handler thread per
-// client connection (fine for tens of clients), reaped as clients
-// disconnect.  The reactor mode (§6h, ServerConfig::reactor_threads > 0)
-// serves all connections from a small epoll worker pool with per-connection
-// buffers and incremental frame decode — runs of DecisionRequests decoded
-// from one readiness event are answered through RoutingPolicy::choose_batch
-// under a single policy-lock acquire.  Either way the policy sits behind a
-// reader-writer lock: when the policy declares itself concurrent-safe
-// (ViaPolicy does — see RoutingPolicy::concurrent_safe()), decision and
-// report handlers take the lock shared, so clients are served in parallel.
+// Controller server: hosts a RoutingPolicy behind the TCP protocol.  All
+// connections are served by an event-driven reactor (§6h, §6j) — a small
+// epoll or io_uring worker pool with per-connection buffers and
+// incremental frame decode; runs of DecisionRequests decoded from one
+// readiness event are answered through RoutingPolicy::choose_batch under a
+// single policy-lock acquire.  The policy sits behind a reader-writer lock:
+// when the policy declares itself concurrent-safe (ViaPolicy does — see
+// RoutingPolicy::concurrent_safe()), decision and report handlers take the
+// lock shared, so clients are served in parallel.
 //
-// The periodic model rebuild runs off the serving path (DESIGN.md §6e): a
-// Refresh message is handed to a dedicated builder thread that drives the
-// policy's split protocol — prepare_refresh() under the *shared* lock
-// (decisions keep flowing while tomography solves and the predictor
-// trains), then commit_refresh() under the exclusive lock, which is just
-// the RCU pointer swap.  The exclusive-section duration is exported as the
+// The periodic model rebuild stalls serving only for its publish (DESIGN.md
+// §6e): the worker that reads a Refresh runs the policy's split protocol
+// inline — prepare_refresh() under the *shared* lock (decisions keep
+// flowing while tomography solves and the predictor trains), then
+// commit_refresh() under the exclusive lock, which is just the RCU pointer
+// swap.  Concurrent Refreshes are serialized, one prepare+commit at a time.
+// The exclusive-section duration is exported as the
 // rpc.server.refresh_stall_us histogram, so the serving stall a refresh
-// actually causes is visible in GetStats.  A policy without the
-// concurrent-safe capability keeps the classic coarse exclusive refresh()
-// in the handler thread (still timed into the same histogram).
+// actually causes is visible in GetStats.
 #pragma once
 
 #include <atomic>
@@ -28,7 +25,6 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -46,27 +42,20 @@
 
 namespace via {
 
-/// Serving backend (§6h, §6j).  Legacy is thread-per-connection; Epoll and
-/// Uring are the event-driven reactors sharing one dispatch seam.
+/// Serving backend (§6h, §6j): the two event-driven reactors behind one
+/// dispatch path.  The numeric values are stable (parameterized test names
+/// print them).
 enum class ServingBackend : std::uint8_t {
-  kLegacy = 0,
   kEpoll = 1,
   kUring = 2,
 };
 
 [[nodiscard]] constexpr const char* serving_backend_name(ServingBackend b) noexcept {
-  switch (b) {
-    case ServingBackend::kEpoll:
-      return "epoll";
-    case ServingBackend::kUring:
-      return "uring";
-    default:
-      return "legacy";
-  }
+  return b == ServingBackend::kUring ? "uring" : "epoll";
 }
 
-/// Robustness knobs (DESIGN.md §6f).  The defaults keep the legacy
-/// behavior except for dedup, which is invisible to well-behaved clients.
+/// Robustness knobs (DESIGN.md §6f).  Shedding is off by default; dedup is
+/// on, which is invisible to well-behaved clients.
 struct ServerConfig {
   /// Overload shedding: when more than this many requests are being served
   /// at once, new DecisionRequest/Report/Refresh frames get an immediate
@@ -75,7 +64,7 @@ struct ServerConfig {
   /// 0 disables shedding.
   std::int64_t max_inflight = 0;
   /// stop() lets in-flight connections finish for this long, then forces
-  /// the stragglers' sockets shut (their handlers exit on the read error).
+  /// the stragglers closed.
   int drain_timeout_ms = 5000;
   /// Report idempotency window: the ids of the most recent N distinct
   /// observations; a retried Report whose observation is still in the
@@ -97,19 +86,15 @@ struct ServerConfig {
   /// registry.  0 disables the ticker.
   int timeseries_window_ms = 0;
 
-  /// Serving mode (§6h).  > 0: event-driven reactor with this many
-  /// worker threads (connections pinned to the least-loaded worker at
-  /// accept); 0 (the default): legacy thread-per-connection unless
-  /// `backend` selects a reactor (which then defaults to 2 workers).
-  /// The controller daemon defaults to the reactor (`--reactor-threads`);
-  /// `--legacy-threads` keeps the old model for one release.
-  int reactor_threads = 0;
+  /// Reactor worker threads (§6h); connections are pinned to the
+  /// least-loaded worker at accept.  Must be >= 1: the constructor throws
+  /// std::invalid_argument otherwise.
+  int reactor_threads = 2;
 
-  /// Which serving backend to run (§6j).  kLegacy with reactor_threads >
-  /// 0 means epoll, preserving the pre-backend-knob behavior.  kUring
-  /// falls back to epoll at start() when the kernel lacks io_uring
-  /// (serving_backend() reports what actually runs).
-  ServingBackend backend = ServingBackend::kLegacy;
+  /// Which serving backend to run (§6j).  kUring falls back to epoll at
+  /// start() when the kernel lacks io_uring (serving_backend() reports
+  /// what actually runs).
+  ServingBackend backend = ServingBackend::kEpoll;
   /// Per-connection queued-reply byte cap for the event-driven backends
   /// (0 disables backpressure): a connection at the cap stops being read
   /// until its socket drains below half the cap.  The queue can overshoot
@@ -143,10 +128,10 @@ class ControllerServer {
   ControllerServer(const ControllerServer&) = delete;
   ControllerServer& operator=(const ControllerServer&) = delete;
 
-  /// Starts the accept loop in a background thread.
+  /// Starts the reactor workers (and the time-series ticker, if enabled).
   void start();
 
-  /// Stops accepting, closes connections, and joins all threads.
+  /// Stops accepting, drains connections, and joins all threads.
   void stop();
 
   [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
@@ -163,16 +148,14 @@ class ControllerServer {
   [[nodiscard]] std::int64_t duplicate_refreshes() const noexcept {
     return tel_dup_refreshes_->value();
   }
-  /// Live handler threads (connections not yet reaped); for tests and
-  /// diagnostics.
+  /// Live client connections; for tests and diagnostics.
   [[nodiscard]] std::size_t active_handlers() const;
 
   /// Backend actually serving after start(): reflects the epoll fallback
   /// when kUring was requested on a kernel without io_uring.
   [[nodiscard]] ServingBackend serving_backend() const noexcept { return active_backend_; }
 
-  /// Backpressure observability (§6j); all zero under the legacy backend
-  /// or before start().
+  /// Backpressure observability (§6j); all zero before start().
   [[nodiscard]] std::size_t backpressure_paused_conns() const noexcept;
   [[nodiscard]] std::uint64_t backpressure_pauses_total() const noexcept;
   [[nodiscard]] std::size_t backpressure_queued_bytes() const noexcept;
@@ -201,18 +184,10 @@ class ControllerServer {
   [[nodiscard]] obs::TimeSeries timeseries() const;
 
  private:
-  /// Destination-agnostic reply channel: the legacy path writes frames
-  /// straight to the socket, the reactor path queues them on the
-  /// connection's WriteBuffer.  Lets both serving modes share one request
-  /// switch (dispatch_frame).
-  struct ReplySink;
-
-  void accept_loop();
-  void handle_connection(TcpConnection conn);
-  /// Serves one decoded request frame (the protocol switch shared by both
-  /// serving modes).  Returns false on Shutdown — the caller closes the
-  /// connection.  Throws ProtocolError on malformed payloads.
-  bool dispatch_frame(const Frame& frame, ReplySink& sink);
+  /// Serves one decoded request frame (the protocol switch).  Returns
+  /// false on Shutdown — the caller closes the connection.  Throws
+  /// ProtocolError on malformed payloads.
+  bool dispatch_frame(const Frame& frame, ReactorConn& conn);
   /// Reactor frame handler: serves a connection's decoded batch, shedding
   /// past the inflight cap and batching runs of DecisionRequests through
   /// choose_batch when tracing and shedding are off.  Returns the number
@@ -222,27 +197,23 @@ class ControllerServer {
   std::size_t handle_reactor_frames(ReactorConn& conn, std::span<Frame> frames);
   /// One policy-lock acquire and one snapshot pin for a whole run of
   /// DecisionRequests decoded from a single readiness event (§6h).
-  void process_decision_batch(std::span<Frame> frames, ReplySink& sink);
-  /// Decode-time protocol violation on a reactor connection (oversized
-  /// frame): error reply + accounting; the reactor closes after flushing.
-  void reactor_protocol_error(ReactorConn& conn, const ProtocolError& e);
-  void send_busy(ReplySink& sink, std::uint8_t frame_type, std::int64_t inflight_now);
-  void send_protocol_error(ReplySink& sink, std::uint8_t frame_type, const ProtocolError& e);
+  void process_decision_batch(std::span<Frame> frames, ReactorConn& conn);
+  void send_busy(ReactorConn& conn, std::uint8_t frame_type, std::int64_t inflight_now);
+  /// Error reply + accounting for a protocol violation; the reactor closes
+  /// the connection after flushing.  `frame_type` is 0 for a decode-time
+  /// violation (oversized frame), which has no request type to echo.
+  void send_protocol_error(ReactorConn& conn, std::uint8_t frame_type, const ProtocolError& e);
   /// Settles inflight accounting for `n` requests decoded by the reactor.
   void note_requests_done(std::size_t n);
-  /// Joins handler threads whose connections have finished.
-  void reap_finished();
   /// Records an observation's idempotency key; returns false when the key
   /// is already in the dedup window (a retried Report).
   [[nodiscard]] bool note_report_seen(const Observation& obs);
-  /// Builder thread: pops refresh tickets and runs prepare (shared lock) /
-  /// commit (exclusive lock) against the policy; drains the queue before
-  /// exiting on stop so no Refresh handler is left waiting.
-  void builder_loop();
-  /// Runs one refresh for a Refresh request: via the builder for a
-  /// concurrent-safe policy, inline-exclusive otherwise.  Blocks until the
-  /// refresh is committed (the RefreshAck contract).
-  void run_refresh(TimeSec now);
+  /// Runs one refresh for a Refresh request: prepare (shared lock), then
+  /// commit (exclusive lock), serialized against other Refreshes.  Blocks
+  /// until the refresh is committed (the RefreshAck contract).
+  /// Returns false for a retried Refresh (`now` not newer than the last
+  /// committed one), which is acked without rebuilding.
+  bool run_refresh(TimeSec now);
   /// Ticker thread closing wall-clock time-series windows (§6g); runs only
   /// while ServerConfig::timeseries_window_ms > 0.
   void timeseries_loop();
@@ -275,9 +246,9 @@ class ControllerServer {
   obs::LatencyHistogram* tel_request_us_;
   obs::Gauge* tel_inflight_;
   /// Duration the policy lock is held *exclusively* per refresh — the span
-  /// during which no decision can be served.  With the split pipeline this
-  /// is pointer-swap scale (µs); the monolithic fallback shows the full
-  /// model rebuild here.
+  /// during which no decision can be served.  For a policy with a split
+  /// refresh this is pointer-swap scale (µs); one whose commit does the
+  /// whole rebuild shows it here.
   obs::LatencyHistogram* tel_refresh_stall_us_;
   /// §6g: null unless the respective ServerConfig knob enables them, so
   /// disabled tracing/flight-recording cost one pointer test per site.
@@ -293,49 +264,20 @@ class ControllerServer {
   const bool policy_concurrent_;
 
   TcpListener listener_;
-  std::thread accept_thread_;
-  /// Event-driven serving mode (§6h/§6j); built fresh on each start()
-  /// when an event-driven backend is selected, stopped (and kept for
-  /// inspection) on stop().
+  /// Built fresh on each start() for the selected backend, stopped (and
+  /// kept for inspection) on stop().
   std::unique_ptr<ReactorBase> reactor_;
-  ServingBackend active_backend_ = ServingBackend::kLegacy;
-
-  /// Handler bookkeeping: live threads sit on `handlers_`; a handler
-  /// splices its own node onto `finished_` as its last act, and the accept
-  /// loop joins finished threads before each accept (stop() drains both
-  /// lists).  Bounds thread bookkeeping by live connections instead of
-  /// total connections ever accepted.
-  mutable std::mutex handlers_mutex_;
-  std::condition_variable handlers_cv_;  ///< signaled on each handler finish
-  std::list<std::thread> handlers_;
-  std::list<std::thread> finished_;
-  /// File descriptors of live client connections (guarded by
-  /// handlers_mutex_).  A handler registers its fd on entry and removes it
-  /// *before* the socket closes, so stop()'s forced drain can ::shutdown
-  /// stragglers without racing fd reuse.
-  std::unordered_set<int> conn_fds_;
+  ServingBackend active_backend_ = ServingBackend::kEpoll;
 
   /// Report idempotency window (§6f): set for O(1) lookup, FIFO for
   /// eviction.  Guarded by dedup_mutex_.
   std::mutex dedup_mutex_;
   std::unordered_set<std::uint64_t> dedup_set_;
   std::deque<std::uint64_t> dedup_fifo_;
-  /// Largest refresh timestamp committed so far; a retried Refresh whose
-  /// `now` is not newer is acked without rebuilding the model.
-  std::atomic<TimeSec> last_refresh_now_{std::numeric_limits<TimeSec>::min()};
-
-  /// Background refresh pipeline (concurrent-safe policies only).  Refresh
-  /// handlers enqueue a (ticketed) request and wait for its completion;
-  /// the builder processes tickets in order, one prepare+commit per
-  /// ticket.  All fields guarded by refresh_mutex_.
-  std::thread builder_thread_;
+  /// Serializes Refresh requests: one prepare+commit at a time.  Guards
+  /// last_refresh_now_, the largest refresh timestamp committed so far.
   std::mutex refresh_mutex_;
-  std::condition_variable refresh_work_cv_;  ///< wakes the builder
-  std::condition_variable refresh_done_cv_;  ///< wakes waiting handlers
-  std::deque<TimeSec> refresh_queue_;
-  std::uint64_t refresh_requested_ = 0;
-  std::uint64_t refresh_completed_ = 0;
-  bool builder_stop_ = false;
+  TimeSec last_refresh_now_ = std::numeric_limits<TimeSec>::min();
 
   /// Wall-clock time-series ticker (§6g); all fields guarded by
   /// timeseries_mutex_ except the thread itself.

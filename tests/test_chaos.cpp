@@ -379,7 +379,7 @@ TEST(Chaos, StopForceClosesIdleConnectionsAfterDrainTimeout) {
 
   // An idle client that never sends and never disconnects.
   TcpConnection idle = TcpConnection::connect_local(server.port());
-  // Let the handler thread pick the connection up.
+  // Let the reactor pick the connection up.
   for (int i = 0; i < 100 && server.active_handlers() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -838,8 +838,9 @@ TEST(ConcurrentRpc, HandlerThreadsAreReaped) {
   ControllerServer server(policy);
   server.start();
 
-  // Sequential short-lived connections: each must come off the live
-  // handler list once its client disconnects, not accumulate until stop().
+  // Sequential short-lived connections: each must drop out of the live
+  // connection count once its client disconnects, not accumulate until
+  // stop().
   for (int i = 0; i < 12; ++i) {
     ControllerClient client(server.port());
     (void)client.get_stats(obs::StatsFormat::Json);

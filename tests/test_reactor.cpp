@@ -1,11 +1,10 @@
-// Event-driven serving mode tests (DESIGN.md §6h/§6j): the epoll reactor
-// behind ServerConfig::reactor_threads must preserve every protocol
-// behavior of the thread-per-connection path — round trips, shedding,
-// client deadlines, protocol-error replies, graceful drain — while adding
-// pipelined frame batching through RoutingPolicy::choose_batch.  The
-// backend-parameterized suite at the bottom runs protocol, backpressure,
-// and pinning behaviors against both event-driven backends (epoll and
-// io_uring); uring cases SKIP explicitly on kernels without io_uring.
+// Event-driven serving tests (DESIGN.md §6h/§6j): the epoll reactor must
+// keep every protocol behavior — round trips, shedding, client deadlines,
+// protocol-error replies, graceful drain — while adding pipelined frame
+// batching through RoutingPolicy::choose_batch.  The backend-parameterized
+// suite at the bottom runs protocol, backpressure, and pinning behaviors
+// against both event-driven backends (epoll and io_uring); uring cases
+// SKIP explicitly on kernels without io_uring.
 // This file also runs under TSan in CI (tools/ci.sh): the hammer test
 // drives all reactor workers concurrently.
 #include <gtest/gtest.h>
@@ -382,6 +381,12 @@ TEST(Reactor, DrainForceClosesStragglers) {
   idle1.send_all(encode_decision_burst(1, 1));
   Frame reply;
   ASSERT_TRUE(recv_frame(idle1, reply));
+  // idle2 may still be in the accept handoff; stop() is only obliged to
+  // force-close connections the reactor already owns.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.active_handlers() != 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   server.stop();  // must return despite the open connections
   EXPECT_GE(counter_value(server, "rpc.server.drain_forced_closes"), 2);
@@ -828,7 +833,8 @@ TEST_P(BackendReactor, LeastConnectionsPinningBalancesWorkers) {
   auto counts = [&] { return server.reactor_worker_connections(); };
 
   // Sequential connects land round-robin under least-connections (each
-  // accept sees the previously charged loads): A→w0, B→w1, C→w0, D→w1.
+  // accept sees the previously charged loads; ties go to the highest
+  // index): A→w1, B→w0, C→w1, D→w0.
   std::vector<TcpConnection> conns;
   for (int i = 0; i < 4; ++i) {
     conns.push_back(TcpConnection::connect_local(server.port()));
@@ -839,7 +845,7 @@ TEST_P(BackendReactor, LeastConnectionsPinningBalancesWorkers) {
   EXPECT_EQ(c[0], 2u);
   EXPECT_EQ(c[1], 2u);
 
-  // Close worker 0's pair (A and C); the next accepts must refill the
+  // Close worker 1's pair (A and C); the next accepts must refill the
   // emptier worker first instead of whatever fd parity dictates.
   conns[0].close();
   conns[2].close();

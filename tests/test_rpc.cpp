@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 
 #include "core/policies.h"
@@ -318,6 +321,80 @@ TEST(Controller, GetStatsReturnsServerTelemetry) {
   EXPECT_EQ(lat->count, 4);  // decide + three get_stats
   client.shutdown();
   server.stop();
+}
+
+TEST(Controller, DefaultConfigServesOnEpoll) {
+  FixedPolicy policy(0);
+  ControllerServer server(policy);
+  server.start();
+  EXPECT_EQ(server.serving_backend(), ServingBackend::kEpoll);
+  EXPECT_EQ(server.reactor_worker_connections().size(), 2u);
+  server.stop();
+}
+
+TEST(Controller, RejectsReactorThreadsBelowOne) {
+  FixedPolicy policy(0);
+  ServerConfig config;
+  config.reactor_threads = 0;
+  EXPECT_THROW(ControllerServer(policy, 0, config), std::invalid_argument);
+  config.reactor_threads = -1;
+  EXPECT_THROW(ControllerServer(policy, 0, config), std::invalid_argument);
+}
+
+/// Split-refresh double that checks the server's refresh discipline: each
+/// prepare_refresh() must be followed by the commit_refresh() for the same
+/// timestamp before the next prepare starts.
+class SplitRefreshPolicy final : public RoutingPolicy {
+ public:
+  [[nodiscard]] OptionId choose(const CallContext&) override { return 0; }
+  void observe(const Observation&) override {}
+  void prepare_refresh(TimeSec now) override {
+    if (prepared_.exchange(now) != kNone) ++violations;
+    // Widen the window in which an unserialized second prepare would land.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ++prepares;
+  }
+  void commit_refresh(TimeSec now) override {
+    if (prepared_.exchange(kNone) != now) ++violations;
+    ++commits;
+  }
+  [[nodiscard]] bool concurrent_safe() const noexcept override { return true; }
+  [[nodiscard]] std::string_view name() const override { return "split-refresh"; }
+
+  std::atomic<int> prepares{0}, commits{0}, violations{0};
+
+ private:
+  static constexpr TimeSec kNone = std::numeric_limits<TimeSec>::min();
+  std::atomic<TimeSec> prepared_{kNone};
+};
+
+TEST(Controller, ConcurrentRefreshesPrepareAndCommitInPairs) {
+  SplitRefreshPolicy policy;
+  ControllerServer server(policy);
+  server.start();
+
+  // Two connections (pinned to different reactor workers) race Refreshes
+  // with fresh timestamps.  One can overtake the other, so a Refresh may
+  // arrive stale and be deduped; every other one must run as its own
+  // prepare+commit pair.
+  constexpr int kConns = 2;
+  constexpr int kRefreshesEach = 25;
+  std::atomic<TimeSec> next_time{1};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConns; ++c) {
+    threads.emplace_back([&] {
+      ControllerClient client(server.port());
+      for (int i = 0; i < kRefreshesEach; ++i) client.refresh(next_time.fetch_add(1));
+      client.shutdown();
+    });
+  }
+  for (auto& t : threads) t.join();
+  server.stop();
+
+  EXPECT_EQ(policy.violations.load(), 0);
+  EXPECT_EQ(policy.prepares.load(), policy.commits.load());
+  EXPECT_GT(policy.commits.load(), 0);
+  EXPECT_EQ(policy.commits.load() + server.duplicate_refreshes(), kConns * kRefreshesEach);
 }
 
 TEST(Controller, EndToEndWithRealViaPolicy) {

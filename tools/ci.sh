@@ -3,12 +3,14 @@
 # smoke (uring-filtered reactor tests, degrading to an explicit SKIP line
 # on kernels without io_uring), a strict
 # -Wall -Wextra -Werror compile of the telemetry subsystem and its tests,
+# a build of the controller benchmark (ctlbench/) plus its self-tests,
 # and a Release (-O2 -DNDEBUG) bench smoke that emits BENCH_core.json and
 # gates it against bench/thresholds.json (failing, tools/check_bench.py;
 # the bench is retried a couple of times so a transient load spike on the
 # runner does not fail the pipeline — a real regression fails every try).
 # Set VIA_CI_TSAN=1 to additionally run the threaded tests (including the
-# reactor worker hammer in test_reactor) under ThreadSanitizer,
+# reactor worker hammer in test_reactor, and test_rpc, whose servers run
+# reactor workers) under ThreadSanitizer,
 # and VIA_CI_ASAN=1 to run the chaos/fault/RPC/federation tests under
 # ASan+UBSan;
 # the ASan stage dumps flight-recorder + span-buffer JSONL into
@@ -39,6 +41,11 @@ fi
 echo "== strict: -Werror build of the obs subsystem =="
 cmake -B "$BUILD_DIR-werror" -S . -DVIA_WERROR=ON
 cmake --build "$BUILD_DIR-werror" -j --target via_obs test_obs
+
+echo "== ctlbench: build ctl_bench + self-tests =="
+cmake -S ctlbench -B .bench_build/ctlbench
+cmake --build .bench_build/ctlbench -j --target ctl_bench
+python3 ctlbench/test_run.py
 
 echo "== release: -O2 -DNDEBUG bench_micro_core smoke + BENCH_core.json =="
 cmake -B "$BUILD_DIR-release" -S . -DCMAKE_BUILD_TYPE=Release
@@ -76,12 +83,14 @@ echo "BENCH_scale.json:"
 cat "$BUILD_DIR-release/BENCH_scale.json"
 
 if [[ "${VIA_CI_TSAN:-0}" == "1" ]]; then
-  echo "== tsan: test_parallel + test_concurrent_policy + test_reactor + test_federation under ThreadSanitizer =="
+  echo "== tsan: test_parallel + test_concurrent_policy + test_reactor + test_rpc + test_federation under ThreadSanitizer =="
   cmake -B "$BUILD_DIR-tsan" -S . -DVIA_TSAN=ON
-  cmake --build "$BUILD_DIR-tsan" -j --target test_parallel test_concurrent_policy test_reactor test_federation
+  cmake --build "$BUILD_DIR-tsan" -j --target test_parallel test_concurrent_policy test_reactor \
+    test_rpc test_federation
   "$BUILD_DIR-tsan/tests/test_parallel"
   "$BUILD_DIR-tsan/tests/test_concurrent_policy"
   "$BUILD_DIR-tsan/tests/test_reactor"
+  "$BUILD_DIR-tsan/tests/test_rpc"
   "$BUILD_DIR-tsan/tests/test_federation"
 fi
 
