@@ -1,10 +1,11 @@
 // via_controller — standalone Via controller daemon.
 //
 // Serves the prediction-guided-exploration relay selector over the TCP
-// protocol in src/rpc/.  Clients request per-call decisions and push
-// measurements; a timer thread refreshes the predictor every T hours of
-// *reported call time* (the controller is driven by the clocks in the
-// measurements, so replayed traces work too).
+// protocol in src/rpc/.  Clients request per-call decisions, push
+// measurements, and drive refresh with the Refresh message, once per
+// --refresh-hours period of *reported call time* (the controller runs on
+// the clocks in the requests, so replayed traces work too).  The daemon
+// runs no refresh timer of its own.
 //
 //   via_controller [--port N] [--metric rtt|loss|jitter] [--epsilon E]
 //                  [--budget B] [--refresh-hours T] [--backbone FILE]

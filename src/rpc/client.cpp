@@ -11,12 +11,6 @@
 
 namespace via {
 
-namespace {
-
-constexpr std::int64_t kFrameHeaderBytes = 5;  ///< u32 length + u8 type
-
-}  // namespace
-
 ControllerClient::ControllerClient(std::uint16_t port, ClientConfig config)
     : ControllerClient(
           [port]() -> std::unique_ptr<TcpConnection> {
@@ -113,7 +107,7 @@ Frame ControllerClient::attempt(MsgType type, const WireWriter& w, MsgType expec
   try {
     ensure_connected();
     if (tel_bytes_out_ != nullptr) {
-      tel_bytes_out_->inc(static_cast<std::int64_t>(w.bytes().size()) + kFrameHeaderBytes);
+      tel_bytes_out_->inc(static_cast<std::int64_t>(w.bytes().size() + kFrameHeaderBytes));
     }
     send_frame(*conn_, static_cast<std::uint8_t>(type), w.bytes());
     Frame frame;
@@ -137,7 +131,7 @@ Frame ControllerClient::attempt(MsgType type, const WireWriter& w, MsgType expec
       throw RpcError(RpcErrorKind::Protocol, "unexpected response type");
     }
     if (tel_bytes_in_ != nullptr) {
-      tel_bytes_in_->inc(static_cast<std::int64_t>(frame.payload.size()) + kFrameHeaderBytes);
+      tel_bytes_in_->inc(static_cast<std::int64_t>(frame.payload.size() + kFrameHeaderBytes));
     }
     return frame;
   } catch (const RpcError&) {

@@ -9,10 +9,6 @@
 
 namespace via {
 
-namespace {
-constexpr std::size_t kFrameHeaderBytes = 5;  ///< u32 payload_len + u8 msg_type
-}  // namespace
-
 std::span<std::byte> ReadBuffer::writable(std::size_t min_size) {
   if (begin_ == end_) {
     begin_ = end_ = 0;
@@ -41,16 +37,6 @@ bool ReadBuffer::next_frame(Frame& out) {
   out.payload.assign(p + kFrameHeaderBytes, p + kFrameHeaderBytes + len);
   begin_ += kFrameHeaderBytes + len;
   return true;
-}
-
-void WriteBuffer::frame(std::uint8_t type, std::span<const std::byte> payload) {
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  buf_.reserve(buf_.size() + kFrameHeaderBytes + payload.size());
-  for (std::size_t i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::byte>((len >> (8 * i)) & 0xFF));
-  }
-  buf_.push_back(static_cast<std::byte>(type));
-  buf_.insert(buf_.end(), payload.begin(), payload.end());
 }
 
 std::span<const std::byte> WriteBuffer::stage() {

@@ -22,11 +22,51 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "rpc/framing.h"
 
 namespace via {
+
+/// Reusable buffers whose capacity grew past this are released instead of
+/// kept for reuse (a drained write queue, a decoded frame slot, a decoded
+/// request's options), so one burst or one large frame does not pin its
+/// high-water allocation.  64 KiB ≈ one read chunk.
+inline constexpr std::size_t kRetainCapacity = 64 * 1024;
+
+/// Reusable slots (decoded frames, decoded requests) kept between rounds; a
+/// pipelining client's usual batch fits, a burst's extra slots are destroyed.
+inline constexpr std::size_t kRetainSlots = 256;
+
+/// Trims slots kept for reuse between rounds to at most kRetainSlots slots
+/// whose buffers (`buffer_of(slot)`, a std::vector) hold at most
+/// kRetainCapacity bytes between them; buffers past that budget are
+/// released.  A per-slot limit alone would let a client grow a different
+/// slot on each round and pin one large buffer per slot.
+template <typename Slot, typename BufferOf>
+void trim_reuse_slots(std::vector<Slot>& slots, BufferOf buffer_of) noexcept {
+  if (slots.capacity() > kRetainSlots) {
+    if (slots.size() > kRetainSlots) slots.resize(kRetainSlots);
+    slots.shrink_to_fit();
+  }
+  std::size_t kept = 0;
+  for (Slot& slot : slots) {
+    auto& buf = buffer_of(slot);
+    using Buffer = std::remove_reference_t<decltype(buf)>;
+    const std::size_t held = buf.capacity() * sizeof(typename Buffer::value_type);
+    if (kept + held > kRetainCapacity) {
+      buf = Buffer();  // "= {}" would clear, keeping capacity
+    } else {
+      kept += held;
+    }
+  }
+}
+
+/// trim_reuse_slots over a connection's decoded-frame slots.
+inline void trim_frame_slots(std::vector<Frame>& slots) noexcept {
+  trim_reuse_slots(slots, [](Frame& f) -> std::vector<std::byte>& { return f.payload; });
+}
 
 /// Inbound byte accumulator with incremental frame decode.
 class ReadBuffer {
@@ -60,8 +100,31 @@ class ReadBuffer {
 /// staged region for asynchronous (io_uring) sends.
 class WriteBuffer {
  public:
-  /// Encodes one frame (header + payload) onto the queue.
-  void frame(std::uint8_t type, std::span<const std::byte> payload);
+  /// Encodes one frame onto the queue in place: reserves the header, runs
+  /// `encode(WireWriter&)` straight onto the queue, then patches the
+  /// payload length in.  Returns the frame's wire size (header included).
+  template <typename EncodeFn>
+  std::size_t frame_with(std::uint8_t type, EncodeFn&& encode) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + kFrameHeaderBytes);
+    {
+      WireWriter w(buf_);
+      encode(w);
+    }
+    const std::size_t size = buf_.size() - at;
+    const auto len = static_cast<std::uint32_t>(size - kFrameHeaderBytes);
+    std::byte* header = buf_.data() + at;
+    for (std::size_t i = 0; i < 4; ++i) {
+      header[i] = static_cast<std::byte>((len >> (8 * i)) & 0xFF);
+    }
+    header[4] = static_cast<std::byte>(type);
+    return size;
+  }
+
+  /// Queues one frame with an already-encoded payload.
+  void frame(std::uint8_t type, std::span<const std::byte> payload) {
+    frame_with(type, [payload](WireWriter& w) { w.raw(payload); });
+  }
 
   [[nodiscard]] bool empty() const noexcept {
     return buf_.empty() && staged_pos_ == staged_.size();
@@ -105,10 +168,6 @@ class WriteBuffer {
   [[nodiscard]] bool flush(int fd);
 
  private:
-  /// Staged capacity above this is released on full drain instead of
-  /// being kept for reuse.  64 KiB ≈ one read-chunk's worth of replies.
-  static constexpr std::size_t kRetainCapacity = 64 * 1024;
-
   std::vector<std::byte> buf_;      ///< accepts new frames; may reallocate
   std::vector<std::byte> staged_;   ///< offered to the kernel; pointer-stable
   std::size_t staged_pos_ = 0;      ///< first unsent byte within staged_

@@ -6,6 +6,7 @@
 // allocations.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -17,7 +18,14 @@
 
 namespace via {
 
+// WireWriter and WireReader copy integers with memcpy, so the host's byte
+// order must be the wire's.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec assumes a little-endian host");
+
 inline constexpr std::size_t kMaxPayload = 1 << 20;
+/// Frame header bytes on the wire: u32 payload length + u8 message type.
+inline constexpr std::size_t kFrameHeaderBytes = 5;
 
 /// The peer sent bytes that violate the protocol: an oversized frame, a
 /// truncated message body, or an unexpected message type.  Distinct from
@@ -29,10 +37,20 @@ class ProtocolError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Appends primitive values to a byte buffer (little-endian).
+/// Appends primitive values to a byte buffer (little-endian).  A
+/// default-constructed writer owns its buffer; a writer constructed over a
+/// vector borrows it and appends after the bytes already there, which is
+/// how replies are encoded straight onto a connection's write queue
+/// (WriteBuffer::frame_with).
 class WireWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
+  WireWriter() : buf_(&own_) { own_.reserve(kInitialCapacity); }
+  explicit WireWriter(std::vector<std::byte>& sink) noexcept
+      : buf_(&sink), start_(sink.size()) {}
+  WireWriter(const WireWriter&) = delete;
+  WireWriter& operator=(const WireWriter&) = delete;
+
+  void u8(std::uint8_t v) { buf_->push_back(static_cast<std::byte>(v)); }
   void u16(std::uint16_t v) { append_le(v); }
   void u32(std::uint32_t v) { append_le(v); }
   void u64(std::uint64_t v) { append_le(v); }
@@ -46,19 +64,31 @@ class WireWriter {
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     const auto* p = reinterpret_cast<const std::byte*>(s.data());
-    buf_.insert(buf_.end(), p, p + s.size());
+    buf_->insert(buf_->end(), p, p + s.size());
+  }
+  void raw(std::span<const std::byte> bytes) {
+    buf_->insert(buf_->end(), bytes.begin(), bytes.end());
   }
 
-  [[nodiscard]] std::span<const std::byte> bytes() const noexcept { return buf_; }
+  /// The bytes this writer appended.
+  [[nodiscard]] std::span<const std::byte> bytes() const noexcept {
+    return std::span<const std::byte>(*buf_).subspan(start_);
+  }
 
  private:
+  /// Covers every fixed-layout message, so an owned buffer allocates once.
+  static constexpr std::size_t kInitialCapacity = 64;
+
+  /// Grows the buffer once per value and stores its bytes in place.
   template <typename T>
   void append_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-    }
+    const std::size_t at = buf_->size();
+    buf_->resize(at + sizeof(T));
+    std::memcpy(buf_->data() + at, &v, sizeof(T));
   }
-  std::vector<std::byte> buf_;
+  std::vector<std::byte> own_;
+  std::vector<std::byte>* buf_;
+  std::size_t start_ = 0;  ///< offset of the first byte this writer appended
 };
 
 /// Reads primitive values from a byte buffer; throws on underrun.
@@ -99,10 +129,8 @@ class WireReader {
   template <typename T>
   [[nodiscard]] T read_le() {
     const auto bytes = take(sizeof(T));
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(bytes[i]) << (8 * i)));
-    }
+    T v;
+    std::memcpy(&v, bytes.data(), sizeof(T));
     return v;
   }
   std::span<const std::byte> data_;

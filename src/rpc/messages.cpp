@@ -14,22 +14,26 @@ void DecisionRequest::encode(WireWriter& w) const {
 
 DecisionRequest DecisionRequest::decode(WireReader& r) {
   DecisionRequest m;
-  m.call_id = r.i64();
-  m.time = r.i64();
-  m.src_as = r.i32();
-  m.dst_as = r.i32();
+  decode_into(r, m);
+  return m;
+}
+
+void DecisionRequest::decode_into(WireReader& r, DecisionRequest& out) {
+  out.call_id = r.i64();
+  out.time = r.i64();
+  out.src_as = r.i32();
+  out.dst_as = r.i32();
   const std::uint32_t n = r.u32();
   // A count the frame cannot possibly hold (4 bytes per option) is a
   // malformed message, not an allocation request.
   if (n > 100'000 || n * sizeof(std::int32_t) > r.remaining()) {
     throw ProtocolError("too many options");
   }
-  m.options.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) m.options.push_back(r.i32());
+  out.options.resize(n);
+  for (OptionId& o : out.options) o = r.i32();
   // Appended in a later protocol revision; frames from older clients end
   // here and decode as untraced.
-  m.trace_id = r.exhausted() ? 0 : r.u64();
-  return m;
+  out.trace_id = r.exhausted() ? 0 : r.u64();
 }
 
 void DecisionResponse::encode(WireWriter& w) const {

@@ -65,6 +65,9 @@ struct DecisionRequest {
 
   void encode(WireWriter& w) const;
   [[nodiscard]] static DecisionRequest decode(WireReader& r);
+  /// decode() into `out`, reusing the capacity of `out.options`, so a
+  /// serving loop that keeps its requests decodes without allocating.
+  static void decode_into(WireReader& r, DecisionRequest& out);
 };
 
 struct DecisionResponse {

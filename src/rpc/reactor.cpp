@@ -17,6 +17,12 @@
 
 namespace via {
 
+void ReactorConn::reset_batch() noexcept {
+  trim_frame_slots(batch_);
+  batch_len_ = 0;
+  batch_pos_ = 0;
+}
+
 // ---------------------------------------------------------------------------
 // ReactorBase: machinery shared by the epoll and io_uring backends.
 
@@ -118,11 +124,16 @@ void ReactorBase::mark_resumed(ReactorConn& conn) {
 }
 
 bool ReactorBase::decode_frames(ReactorConn& conn) {
-  const std::size_t before = conn.batch_.size();
+  const std::size_t before = conn.batch_len_;
   bool ok = true;
   try {
-    Frame frame;
-    while (conn.in_.next_frame(frame)) conn.batch_.push_back(std::move(frame));
+    // Decode into the next slot; a slot is added only when every existing
+    // one is live, so in steady state this allocates nothing.
+    for (;;) {
+      if (conn.batch_len_ == conn.batch_.size()) conn.batch_.emplace_back();
+      if (!conn.in_.next_frame(conn.batch_[conn.batch_len_])) break;
+      ++conn.batch_len_;
+    }
   } catch (const ProtocolError& e) {
     // Oversized header: serve what decoded cleanly, then report and
     // close.  closing_ also stops further reads right away.
@@ -131,15 +142,15 @@ bool ReactorBase::decode_frames(ReactorConn& conn) {
     conn.closing_ = true;
     ok = false;
   }
-  const std::size_t added = conn.batch_.size() - before;
+  const std::size_t added = conn.batch_len_ - before;
   if (added > 0 && hooks_.on_decoded) hooks_.on_decoded(added);
   return ok;
 }
 
 ReactorBase::ServeStatus ReactorBase::serve_batch(ReactorConn& conn) {
-  while (conn.batch_pos_ < conn.batch_.size()) {
+  while (conn.has_unserved()) {
     const std::span<Frame> rest(conn.batch_.data() + conn.batch_pos_,
-                                conn.batch_.size() - conn.batch_pos_);
+                                conn.batch_len_ - conn.batch_pos_);
     std::size_t consumed = 0;
     try {
       consumed = on_frames_(conn, rest);
@@ -148,17 +159,16 @@ ReactorBase::ServeStatus ReactorBase::serve_batch(ReactorConn& conn) {
       conn.closing_ = true;
       // The handler's accounting disposed of the whole remainder (it will
       // never be served); nothing left for on_dropped.
-      conn.batch_pos_ = conn.batch_.size();
+      conn.batch_pos_ = conn.batch_len_;
       break;
     } catch (const std::exception&) {
-      conn.batch_.clear();
-      conn.batch_pos_ = 0;
+      conn.reset_batch();
       return ServeStatus::kError;
     }
     conn.batch_pos_ += std::min(consumed, rest.size());
     if (conn.closing_) {
       // A handler that requests close has disposed of the remainder too.
-      conn.batch_pos_ = conn.batch_.size();
+      conn.batch_pos_ = conn.batch_len_;
       break;
     }
     if (consumed < rest.size()) {
@@ -166,8 +176,7 @@ ReactorBase::ServeStatus ReactorBase::serve_batch(ReactorConn& conn) {
       return ServeStatus::kCapped;
     }
   }
-  conn.batch_.clear();
-  conn.batch_pos_ = 0;
+  conn.reset_batch();
   if (conn.has_pending_error_) {
     conn.has_pending_error_ = false;
     if (on_protocol_error_) on_protocol_error_(conn, ProtocolError(conn.pending_error_));
@@ -178,10 +187,9 @@ ReactorBase::ServeStatus ReactorBase::serve_batch(ReactorConn& conn) {
 }
 
 void ReactorBase::conn_closed(ReactorConn& conn) {
-  const std::size_t dropped = conn.batch_.size() - conn.batch_pos_;
+  const std::size_t dropped = conn.batch_len_ - conn.batch_pos_;
   if (dropped > 0 && hooks_.on_dropped) hooks_.on_dropped(dropped);
-  conn.batch_.clear();
-  conn.batch_pos_ = 0;
+  conn.reset_batch();
   if (conn.paused_) {
     // Closed while paused: clear the gauge without firing on_resume — the
     // connection never resumed.
@@ -416,7 +424,7 @@ void Reactor::finish_io(Worker& worker, ReactorConn& conn) {
     return;
   }
   if (!conn.closing_ && !conn.paused_ &&
-      (conn.batch_pos_ < conn.batch_.size() || over_high_water(conn))) {
+      (conn.has_unserved() || over_high_water(conn))) {
     // Backpressure: stop reading until the socket drains below low water.
     // A kept batch remainder implies the per-connection cap was hit; a
     // drained connection can still pause on the worker-aggregate cap, and
@@ -451,7 +459,7 @@ void Reactor::maybe_resume(Worker& worker, ReactorConn& conn) {
     return;
   }
   mark_resumed(conn);
-  if (conn.batch_pos_ < conn.batch_.size()) {
+  if (conn.has_unserved()) {
     // Serve the batch remainder kept at pause time; this may re-pause.
     dispatch(worker, conn);
   } else {
@@ -492,7 +500,7 @@ void Reactor::read_and_decode(Worker& worker, ReactorConn& conn) {
       return;
     }
     conn.eof_ = true;
-    if (conn.batch_.empty()) {
+    if (!conn.has_unserved()) {
       // Nothing left to serve; flush any pending replies and close.
       conn.closing_ = true;
       finish_io(worker, conn);

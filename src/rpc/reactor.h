@@ -56,6 +56,7 @@ namespace via {
 class Reactor;
 class UringReactor;
 class ReactorBase;
+enum class MsgType : std::uint8_t;  // rpc/messages.h
 
 /// One reactor-owned client connection.  Frame handlers interact with it
 /// only through send(), close_after_flush(), and the write-pressure
@@ -64,8 +65,18 @@ class ReactorConn {
  public:
   [[nodiscard]] int fd() const noexcept { return fd_.get(); }
 
-  /// Queues one reply frame; the worker flushes after the handler returns.
-  void send(std::uint8_t type, std::span<const std::byte> payload) { out_.frame(type, payload); }
+  /// Queues one reply frame, encoding `msg` straight onto the write queue
+  /// (no intermediate buffer); the worker flushes after the handler
+  /// returns.  Returns the frame's wire size, header included.
+  template <typename Msg>
+  std::size_t send(MsgType type, const Msg& msg) {
+    return out_.frame_with(static_cast<std::uint8_t>(type),
+                           [&msg](WireWriter& w) { msg.encode(w); });
+  }
+  /// Queues one reply frame with an empty payload (acks, Busy).
+  std::size_t send(MsgType type) {
+    return out_.frame_with(static_cast<std::uint8_t>(type), [](WireWriter&) {});
+  }
 
   /// Close once the pending output flushes (Shutdown, protocol errors).
   /// The worker stops reading from the connection immediately.
@@ -96,11 +107,22 @@ class ReactorConn {
   friend class ReactorBase;
   explicit ReactorConn(FdHandle fd) noexcept : fd_(std::move(fd)) {}
 
+  /// Decoded frames not yet consumed by the handler (a kept remainder
+  /// under backpressure, or a batch awaiting dispatch).
+  [[nodiscard]] bool has_unserved() const noexcept { return batch_pos_ < batch_len_; }
+  /// Ends the batch: zero live frames.  Slots keep their payload capacity
+  /// for the next round's decode, within trim_frame_slots' budget.
+  void reset_batch() noexcept;
+
   FdHandle fd_;
   ReadBuffer in_;
   WriteBuffer out_;
-  std::vector<Frame> batch_;     ///< frames decoded in phase 1, dispatched in phase 2
-  std::size_t batch_pos_ = 0;    ///< frames of batch_ already consumed by the handler
+  /// Frame slots, decoded into in phase 1 and dispatched in phase 2.  The
+  /// slots persist from round to round so decoding reuses their payload
+  /// buffers; only the first batch_len_ are live.
+  std::vector<Frame> batch_;
+  std::size_t batch_len_ = 0;    ///< live frames in batch_
+  std::size_t batch_pos_ = 0;    ///< live frames already consumed by the handler
   std::string pending_error_;    ///< decode-time ProtocolError, reported after the batch
   std::size_t write_cap_ = 0;    ///< per-connection cap (0 = uncapped), from ReactorConfig
   std::size_t accounted_out_ = 0;  ///< bytes currently charged to the worker aggregate

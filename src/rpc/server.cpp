@@ -11,6 +11,7 @@
 
 #include "obs/export.h"
 #include "obs/span.h"
+#include "rpc/decide_scratch.h"
 #include "rpc/reactor.h"
 #include "rpc/uring_reactor.h"
 #include "util/rng.h"
@@ -18,9 +19,6 @@
 namespace via {
 
 namespace {
-/// Wire overhead per frame: u32 payload length + u8 message type.
-constexpr std::int64_t kFrameHeaderBytes = 5;
-
 /// Estimated wire size of one DecisionResponse (call_id + option +
 /// replica_id + ring_epoch payload plus the frame header, rounded up).
 /// Used only to clamp batch runs to a write-capped connection's headroom,
@@ -60,6 +58,34 @@ class PolicyLock {
   std::shared_mutex& mutex_;
   const bool shared_;
 };
+
+/// The calling worker thread's decision scratch: one for the per-frame
+/// path, one for batches, so trimming after a single request walks one
+/// request slot rather than a batch's worth.
+DecideScratch& single_scratch() {
+  thread_local DecideScratch scratch;
+  return scratch;
+}
+DecideScratch& batch_scratch() {
+  thread_local DecideScratch scratch;
+  return scratch;
+}
+
+/// The policy's view of a decoded request (trace fields left unset).
+CallContext call_context(const DecisionRequest& req) {
+  CallContext ctx;
+  ctx.id = req.call_id;
+  ctx.time = req.time;
+  ctx.src_as = req.src_as;
+  ctx.dst_as = req.dst_as;
+  ctx.key_src = req.src_as;
+  ctx.key_dst = req.dst_as;
+  ctx.options = req.options;
+  return ctx;
+}
+
+/// Counter increment for a byte count.
+std::int64_t bytes(std::size_t n) { return static_cast<std::int64_t>(n); }
 }  // namespace
 
 ControllerServer::ControllerServer(RoutingPolicy& policy, std::uint16_t port, ServerConfig config)
@@ -281,22 +307,17 @@ bool ControllerServer::note_report_seen(const Observation& obs) {
 
 bool ControllerServer::dispatch_frame(const Frame& frame, ReactorConn& conn) {
   WireReader reader(frame.payload);
-  WireWriter writer;
-  auto reply = [&](MsgType type) {
-    tel_bytes_out_->inc(static_cast<std::int64_t>(writer.bytes().size()) + kFrameHeaderBytes);
-    conn.send(static_cast<std::uint8_t>(type), writer.bytes());
+  // Every reply is encoded straight onto the connection's write queue.
+  auto reply = [&](MsgType type, const auto&... msg) {
+    tel_bytes_out_->inc(bytes(conn.send(type, msg...)));
   };
   switch (static_cast<MsgType>(frame.type)) {
     case MsgType::DecisionRequest: {
-      const DecisionRequest req = DecisionRequest::decode(reader);
-      CallContext ctx;
-      ctx.id = req.call_id;
-      ctx.time = req.time;
-      ctx.src_as = req.src_as;
-      ctx.dst_as = req.dst_as;
-      ctx.key_src = req.src_as;
-      ctx.key_dst = req.dst_as;
-      ctx.options = req.options;
+      DecideScratch& scratch = single_scratch();
+      const DecideScratch::Lease lease(scratch);
+      DecisionRequest& req = scratch.requests(1)[0];
+      DecisionRequest::decode_into(reader, req);
+      CallContext ctx = call_context(req);
       // Request tracing (§6g): adopt the client's trace id (or derive a
       // deterministic one) and parent the policy's choose sub-spans
       // under this handler's rpc.decide span.
@@ -315,10 +336,8 @@ bool ControllerServer::dispatch_frame(const Frame& frame, ReactorConn& conn) {
         const PolicyLock lock(policy_mutex_, policy_concurrent_);
         resp.option = policy_->choose(ctx);
       }
-      ++decisions_;
       tel_decisions_->inc();
-      resp.encode(writer);
-      reply(MsgType::DecisionResponse);
+      reply(MsgType::DecisionResponse, resp);
       break;
     }
     case MsgType::Report: {
@@ -334,7 +353,6 @@ bool ControllerServer::dispatch_frame(const Frame& frame, ReactorConn& conn) {
         const PolicyLock lock(policy_mutex_, policy_concurrent_);
         policy_->observe(msg.obs);
       }
-      ++reports_;
       tel_reports_->inc();
       reply(MsgType::ReportAck);
       break;
@@ -357,8 +375,7 @@ bool ControllerServer::dispatch_frame(const Frame& frame, ReactorConn& conn) {
       StatsResponse resp;
       resp.text = obs::render_stats(telemetry_.registry.snapshot(), format);
       resp.replica_id = config_.replica_id;
-      resp.encode(writer);
-      reply(MsgType::GetStatsResponse);
+      reply(MsgType::GetStatsResponse, resp);
       break;
     }
     case MsgType::GetTrace: {
@@ -366,8 +383,7 @@ bool ControllerServer::dispatch_frame(const Frame& frame, ReactorConn& conn) {
       StatsResponse resp;
       resp.text = obs::chrome_trace_json(telemetry_.tracer.buffer(), dump_cap(req));
       resp.replica_id = config_.replica_id;
-      resp.encode(writer);
-      reply(MsgType::GetTraceResponse);
+      reply(MsgType::GetTraceResponse, resp);
       break;
     }
     case MsgType::GetFlightRecord: {
@@ -384,8 +400,7 @@ bool ControllerServer::dispatch_frame(const Frame& frame, ReactorConn& conn) {
         resp.text = cut == std::string::npos ? std::string{} : resp.text.substr(cut + 1);
       }
       resp.replica_id = config_.replica_id;
-      resp.encode(writer);
-      reply(MsgType::GetFlightRecordResponse);
+      reply(MsgType::GetFlightRecordResponse, resp);
       break;
     }
     case MsgType::Ping: {
@@ -396,8 +411,7 @@ bool ControllerServer::dispatch_frame(const Frame& frame, ReactorConn& conn) {
       pong.replica_id = config_.replica_id;
       pong.ring_epoch = config_.ring_epoch;
       tel_pings_->inc();
-      pong.encode(writer);
-      reply(MsgType::Pong);
+      reply(MsgType::Pong, pong);
       break;
     }
     case MsgType::GossipSegments: {
@@ -409,8 +423,7 @@ bool ControllerServer::dispatch_frame(const Frame& frame, ReactorConn& conn) {
         ack.accepted = static_cast<std::uint32_t>(gossip_handler_(msg));
       }
       tel_gossip_updates_->inc();
-      ack.encode(writer);
-      reply(MsgType::GossipSegmentsAck);
+      reply(MsgType::GossipSegmentsAck, ack);
       break;
     }
     case MsgType::Shutdown:
@@ -428,8 +441,7 @@ void ControllerServer::send_busy(ReactorConn& conn, std::uint8_t frame_type,
     flight_->record(obs::FlightEventKind::Shed, "over inflight cap; request shed",
                     static_cast<std::int64_t>(frame_type), inflight_now);
   }
-  tel_bytes_out_->inc(kFrameHeaderBytes);
-  conn.send(static_cast<std::uint8_t>(MsgType::Busy), {});
+  tel_bytes_out_->inc(bytes(conn.send(MsgType::Busy)));
 }
 
 void ControllerServer::send_protocol_error(ReactorConn& conn, std::uint8_t frame_type,
@@ -439,10 +451,7 @@ void ControllerServer::send_protocol_error(ReactorConn& conn, std::uint8_t frame
     flight_->record(obs::FlightEventKind::ProtocolError, e.what(),
                     static_cast<std::int64_t>(frame_type));
   }
-  WireWriter writer;
-  ErrorMsg{frame_type, e.what()}.encode(writer);
-  tel_bytes_out_->inc(static_cast<std::int64_t>(writer.bytes().size()) + kFrameHeaderBytes);
-  conn.send(static_cast<std::uint8_t>(MsgType::Error), writer.bytes());
+  tel_bytes_out_->inc(bytes(conn.send(MsgType::Error, ErrorMsg{frame_type, e.what()})));
 }
 
 void ControllerServer::note_requests_done(std::size_t n) {
@@ -487,7 +496,7 @@ std::size_t ControllerServer::handle_reactor_frames(ReactorConn& conn, std::span
              frames[j].type == static_cast<std::uint8_t>(MsgType::DecisionRequest)) {
         ++j;
       }
-      // A DecisionResponse frame is ~24 bytes on the wire; clamping the
+      // A DecisionResponse frame is 29 bytes on the wire; clamping the
       // run to the queue's headroom keeps one batch from overshooting the
       // cap by more than the final response.
       const std::size_t headroom_frames =
@@ -512,7 +521,7 @@ std::size_t ControllerServer::handle_reactor_frames(ReactorConn& conn, std::span
       }
     }
     const Frame& frame = frames[i];
-    tel_bytes_in_->inc(static_cast<std::int64_t>(frame.payload.size()) + kFrameHeaderBytes);
+    tel_bytes_in_->inc(bytes(frame.payload.size() + kFrameHeaderBytes));
     bool keep_open = true;
     {
       const obs::ScopedTimer request_timer(*tel_request_us_);
@@ -546,14 +555,18 @@ void ControllerServer::process_decision_batch(std::span<Frame> frames, ReactorCo
   // One histogram observation for the whole run: request_us then reflects
   // per-wakeup serving cost instead of synthetic per-frame slices.
   const obs::ScopedTimer request_timer(*tel_request_us_);
-  std::vector<DecisionRequest> reqs;
-  reqs.reserve(frames.size());
+  DecideScratch& scratch = batch_scratch();
+  const DecideScratch::Lease lease(scratch);
+  const std::span<DecisionRequest> reqs = scratch.requests(frames.size());
+  std::size_t n = 0;
+  std::size_t bytes_in = 0;
   std::exception_ptr decode_error;
   for (const Frame& frame : frames) {
-    tel_bytes_in_->inc(static_cast<std::int64_t>(frame.payload.size()) + kFrameHeaderBytes);
+    bytes_in += frame.payload.size() + kFrameHeaderBytes;
     try {
       WireReader reader(frame.payload);
-      reqs.push_back(DecisionRequest::decode(reader));
+      DecisionRequest::decode_into(reader, reqs[n]);
+      ++n;
     } catch (const ProtocolError&) {
       // Serve the cleanly decoded prefix, then surface the violation so
       // the connection closes exactly as the sequential path would.
@@ -561,36 +574,25 @@ void ControllerServer::process_decision_batch(std::span<Frame> frames, ReactorCo
       break;
     }
   }
-  const std::size_t n = reqs.size();
-  std::vector<CallContext> ctxs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    CallContext& ctx = ctxs[i];
-    ctx.id = reqs[i].call_id;
-    ctx.time = reqs[i].time;
-    ctx.src_as = reqs[i].src_as;
-    ctx.dst_as = reqs[i].dst_as;
-    ctx.key_src = reqs[i].src_as;
-    ctx.key_dst = reqs[i].dst_as;
-    ctx.options = reqs[i].options;
-  }
-  std::vector<OptionId> picks(n);
+  tel_bytes_in_->inc(bytes(bytes_in));
+  scratch.ctxs.resize(n);
+  scratch.picks.resize(n);
+  for (std::size_t i = 0; i < n; ++i) scratch.ctxs[i] = call_context(reqs[i]);
   {
     const PolicyLock lock(policy_mutex_, policy_concurrent_);
-    policy_->choose_batch(ctxs, picks);
+    policy_->choose_batch(scratch.ctxs, scratch.picks);
   }
-  decisions_ += static_cast<std::int64_t>(n);
   tel_decisions_->inc(static_cast<std::int64_t>(n));
+  DecisionResponse resp;
+  resp.replica_id = config_.replica_id;
+  resp.ring_epoch = config_.ring_epoch;
+  std::size_t bytes_out = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    WireWriter writer;
-    DecisionResponse resp;
     resp.call_id = reqs[i].call_id;
-    resp.option = picks[i];
-    resp.replica_id = config_.replica_id;
-    resp.ring_epoch = config_.ring_epoch;
-    resp.encode(writer);
-    tel_bytes_out_->inc(static_cast<std::int64_t>(writer.bytes().size()) + kFrameHeaderBytes);
-    conn.send(static_cast<std::uint8_t>(MsgType::DecisionResponse), writer.bytes());
+    resp.option = scratch.picks[i];
+    bytes_out += conn.send(MsgType::DecisionResponse, resp);
   }
+  tel_bytes_out_->inc(bytes(bytes_out));
   if (decode_error) std::rethrow_exception(decode_error);
 }
 

@@ -135,8 +135,8 @@ class ControllerServer {
   void stop();
 
   [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
-  [[nodiscard]] std::int64_t decisions_served() const noexcept { return decisions_.load(); }
-  [[nodiscard]] std::int64_t reports_received() const noexcept { return reports_.load(); }
+  [[nodiscard]] std::int64_t decisions_served() const noexcept { return tel_decisions_->value(); }
+  [[nodiscard]] std::int64_t reports_received() const noexcept { return tel_reports_->value(); }
   /// Degradation accounting (§6f), readable without parsing GetStats.
   [[nodiscard]] std::int64_t busy_rejections() const noexcept { return tel_busy_->value(); }
   [[nodiscard]] std::int64_t protocol_errors() const noexcept {
@@ -288,8 +288,6 @@ class ControllerServer {
   bool timeseries_stop_ = false;
 
   std::atomic<bool> running_{false};
-  std::atomic<std::int64_t> decisions_{0};
-  std::atomic<std::int64_t> reports_{0};
   std::atomic<std::int64_t> inflight_{0};
 };
 

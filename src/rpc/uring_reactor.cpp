@@ -453,7 +453,7 @@ void UringReactor::settle(Worker& worker, ReactorConn& conn) {
     if (conn.out_.empty() && !conn.send_armed_) begin_close(worker, conn);
     return;
   }
-  if (!conn.paused_ && (conn.batch_pos_ < conn.batch_.size() || over_high_water(conn))) {
+  if (!conn.paused_ && (conn.has_unserved() || over_high_water(conn))) {
     // Backpressure: withhold the recv resubmission until low water.  A
     // paused connection with nothing in flight has no CQE coming to wake
     // it; the sweep list covers it.
@@ -462,7 +462,7 @@ void UringReactor::settle(Worker& worker, ReactorConn& conn) {
   } else if (conn.paused_) {
     if (under_low_water(conn)) {
       mark_resumed(conn);
-      if (conn.batch_pos_ < conn.batch_.size()) {
+      if (conn.has_unserved()) {
         if (serve_batch(conn) == ServeStatus::kError) {
           conn_failure(worker, conn);
           return;
@@ -566,7 +566,7 @@ void UringReactor::handle_recv(Worker& worker, ReactorConn& conn, std::int32_t r
       return;
     }
     conn.eof_ = true;
-    conn.closing_ = true;  // a paused conn never has a recv armed, so batch_ is empty here
+    conn.closing_ = true;  // a paused conn never has a recv armed, so no frame is unserved here
     settle(worker, conn);
     return;
   }

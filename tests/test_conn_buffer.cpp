@@ -10,11 +10,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "rpc/conn_buffer.h"
+#include "rpc/decide_scratch.h"
 #include "rpc/framing.h"
+#include "rpc/messages.h"
 
 namespace via {
 namespace {
@@ -160,6 +163,165 @@ TEST(WriteBuffer, FullDrainReclaimsBurstCapacity) {
   const std::size_t kept = wb.reserve_bytes();
   wb.consume(span.size());
   EXPECT_EQ(wb.reserve_bytes(), kept);
+}
+
+TEST(WriteBuffer, FrameWithEncodesInPlaceAfterQueuedFrames) {
+  // The in-place routine writes the same bytes as framing a pre-encoded
+  // payload, appends after frames already queued, and reports the frame's
+  // wire size.
+  const DecisionResponse resp{42, 3, 2, 5};
+  WireWriter w;
+  resp.encode(w);
+  WriteBuffer reference;
+  reference.frame(2, w.bytes());
+  reference.frame(4, {});
+  const auto want = reference.stage();
+
+  WriteBuffer wb;
+  EXPECT_EQ(wb.frame_with(2, [&resp](WireWriter& out) { resp.encode(out); }), 5u + 24);
+  EXPECT_EQ(wb.frame_with(4, [](WireWriter&) {}), 5u);
+  const auto got = wb.stage();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
+}
+
+TEST(WireWriter, BorrowedWriterAppendsAfterExistingBytes) {
+  std::vector<std::byte> sink(3, std::byte{0xEE});
+  WireWriter w(sink);
+  w.u32(0x04030201);
+  w.u8(5);
+  ASSERT_EQ(sink.size(), 8u);
+  EXPECT_EQ(sink[2], std::byte{0xEE});
+  EXPECT_EQ(sink[3], std::byte{0x01});
+  EXPECT_EQ(sink[6], std::byte{0x04});
+  // bytes() covers only what this writer appended.
+  ASSERT_EQ(w.bytes().size(), 5u);
+  EXPECT_EQ(w.bytes()[0], std::byte{0x01});
+  EXPECT_EQ(w.bytes()[4], std::byte{0x05});
+}
+
+TEST(ReadBuffer, ReusedFrameSlotTakesShorterAndLongerPayloads) {
+  // The reactor decodes into the same Frame slots round after round; a
+  // slot that held a long payload must come back with exactly the short
+  // one, and a short slot must grow for a long one.
+  std::vector<std::byte> wire = encode_frame(1, 300, std::byte{0x01});
+  const auto second = encode_frame(2, 4, std::byte{0x02});
+  const auto third = encode_frame(3, 900, std::byte{0x03});
+  wire.insert(wire.end(), second.begin(), second.end());
+  wire.insert(wire.end(), third.begin(), third.end());
+  ReadBuffer rb;
+  const auto dst = rb.writable(wire.size());
+  std::memcpy(dst.data(), wire.data(), wire.size());
+  rb.commit(wire.size());
+
+  Frame slot;
+  ASSERT_TRUE(rb.next_frame(slot));
+  EXPECT_EQ(slot.payload.size(), 300u);
+  ASSERT_TRUE(rb.next_frame(slot));
+  EXPECT_EQ(slot.type, 2);
+  ASSERT_EQ(slot.payload.size(), 4u);
+  EXPECT_EQ(slot.payload[3], std::byte{0x02});
+  EXPECT_GE(slot.payload.capacity(), 300u);  // capacity kept for reuse
+  ASSERT_TRUE(rb.next_frame(slot));
+  EXPECT_EQ(slot.type, 3);
+  ASSERT_EQ(slot.payload.size(), 900u);
+  EXPECT_EQ(slot.payload[899], std::byte{0x03});
+}
+
+TEST(FrameSlots, TrimKeepsSteadySlotsAndBoundsTheTotal) {
+  // A steady pipeline's slots keep their buffers: nothing to reallocate
+  // on the next round.
+  std::vector<Frame> steady(16);
+  for (Frame& f : steady) f.payload.resize(48);
+  std::vector<std::size_t> caps;
+  for (const Frame& f : steady) caps.push_back(f.payload.capacity());
+  trim_frame_slots(steady);
+  ASSERT_EQ(steady.size(), 16u);
+  for (std::size_t i = 0; i < steady.size(); ++i) EXPECT_EQ(steady[i].payload.capacity(), caps[i]);
+
+  // Slots each grown just under the retain threshold (a client placing a
+  // large frame at a new index every round) must not pin one large buffer
+  // per slot, and a burst's extra slots go away.
+  std::vector<Frame> grown(300);
+  for (Frame& f : grown) f.payload.resize(kRetainCapacity - 1024);
+  trim_frame_slots(grown);
+  EXPECT_EQ(grown.size(), kRetainSlots);
+  EXPECT_LE(grown.capacity(), kRetainSlots);
+  std::size_t total = 0;
+  for (const Frame& f : grown) total += f.payload.capacity();
+  EXPECT_LE(total, kRetainCapacity);
+
+  // One frame over the threshold is released outright.
+  std::vector<Frame> big(1);
+  big[0].payload.resize(kRetainCapacity + 1);
+  trim_frame_slots(big);
+  EXPECT_EQ(big[0].payload.capacity(), 0u);
+}
+
+/// A DecisionRequest payload with `n_options` options.
+std::vector<std::byte> decision_payload(CallId id, std::size_t n_options) {
+  DecisionRequest req;
+  req.call_id = id;
+  req.options.assign(n_options, 1);
+  WireWriter w;
+  req.encode(w);
+  const auto bytes = w.bytes();
+  return {bytes.begin(), bytes.end()};
+}
+
+/// Serves one batch out of `scratch` the way the controller's decision
+/// path does: decode every payload into the reused slots, then size the
+/// context and pick arrays.
+void serve_batch(DecideScratch& scratch, const std::vector<std::vector<std::byte>>& payloads) {
+  const DecideScratch::Lease lease(scratch);
+  const auto reqs = scratch.requests(payloads.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    WireReader r(payloads[i]);
+    DecisionRequest::decode_into(r, reqs[i]);
+    ASSERT_EQ(reqs[i].call_id, static_cast<CallId>(i));
+  }
+  scratch.ctxs.resize(payloads.size());
+  scratch.picks.resize(payloads.size());
+}
+
+TEST(DecideScratch, SteadyBatchesReuseTheirBuffers) {
+  std::vector<std::vector<std::byte>> batch;
+  for (std::size_t i = 0; i < 32; ++i) batch.push_back(decision_payload(static_cast<CallId>(i), 24));
+  DecideScratch scratch;
+  serve_batch(scratch, batch);
+  std::vector<const OptionId*> buffers;
+  for (const DecisionRequest& r : scratch.reqs) buffers.push_back(r.options.data());
+  const std::size_t retained = scratch.retained_bytes();
+  for (int round = 0; round < 4; ++round) serve_batch(scratch, batch);
+  ASSERT_EQ(scratch.reqs.size(), buffers.size());
+  for (std::size_t i = 0; i < buffers.size(); ++i) EXPECT_EQ(scratch.reqs[i].options.data(), buffers[i]);
+  EXPECT_EQ(scratch.retained_bytes(), retained);
+}
+
+TEST(DecideScratch, LargeRequestAtRisingIndicesStaysBounded) {
+  // Each round is k small requests followed by one with 100k options, so
+  // the large request lands on a new slot every round.  Without a budget
+  // over all slots, every round would pin another ~400 KB.
+  const std::size_t bound = kRetainSlots * (sizeof(DecisionRequest) + sizeof(CallContext) +
+                                            sizeof(OptionId)) +
+                            kRetainCapacity;
+  DecideScratch scratch;
+  std::vector<std::vector<std::byte>> batch;
+  for (std::size_t k = 0; k < kRetainSlots + 8; k += 7) {
+    batch.clear();
+    for (std::size_t i = 0; i < k; ++i) batch.push_back(decision_payload(static_cast<CallId>(i), 3));
+    batch.push_back(decision_payload(static_cast<CallId>(k), 100'000));
+    serve_batch(scratch, batch);
+    EXPECT_LE(scratch.retained_bytes(), bound) << "after a batch of " << batch.size();
+  }
+  // A burst past the slot budget shrinks back to it.
+  batch.clear();
+  for (std::size_t i = 0; i < 2 * kRetainSlots; ++i) {
+    batch.push_back(decision_payload(static_cast<CallId>(i), 3));
+  }
+  serve_batch(scratch, batch);
+  EXPECT_LE(scratch.reqs.capacity(), kRetainSlots);
+  EXPECT_LE(scratch.retained_bytes(), bound);
 }
 
 TEST(WriteBuffer, FlushHandlesEagainMidFrame) {

@@ -819,6 +819,97 @@ TEST_P(BackendReactor, ForcedCloseWithPendingWrites) {
   conn.close();
 }
 
+TEST_P(BackendReactor, FrameSlotReuseAcrossVaryingFramesAndBackpressure) {
+  // A connection's decoded-frame slots keep their payload buffers from one
+  // round to the next, so a slot that held a long frame is refilled with a
+  // short one and vice versa.  Option counts cycle 0, 1, 24, 3, Reports
+  // interleave, one GossipSegments frame is larger than the 64 KiB slot
+  // retain threshold, and the stream crosses a backpressure pause and
+  // resume; every reply must still carry the right type, call id and
+  // option, in order.
+  ModuloPolicy policy;
+  ServerConfig cfg = config();
+  cfg.write_buffer_cap = 128 * 1024;
+  ControllerServer server(policy, 0, cfg);
+  server.start();
+
+  struct Expected {
+    MsgType type;
+    CallId call_id = 0;
+    OptionId option = 0;
+  };
+  constexpr int kCalls = 200'000;
+  constexpr std::size_t kOptionCounts[] = {0, 1, 24, 3};
+  std::vector<std::byte> stream;
+  std::vector<Expected> expected;
+  std::int64_t decisions = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    if (i == kCalls / 2) {
+      GossipSegmentsMsg gossip;
+      gossip.replica_id = 3;
+      gossip.segments.resize(1100);  // 64 bytes each: ~70 KB of payload
+      WireWriter w;
+      gossip.encode(w);
+      ASSERT_GT(w.bytes().size(), 64u * 1024);
+      append_frame(stream, MsgType::GossipSegments, w);
+      expected.push_back({MsgType::GossipSegmentsAck});
+    }
+    if (i % 5 == 4) {
+      ReportMsg msg;
+      msg.obs.id = i;
+      msg.obs.option = 1;
+      WireWriter w;
+      msg.encode(w);
+      append_frame(stream, MsgType::Report, w);
+      expected.push_back({MsgType::ReportAck});
+      continue;
+    }
+    DecisionRequest req;
+    req.call_id = i;
+    req.time = i;
+    const std::size_t n = kOptionCounts[static_cast<std::size_t>(decisions) % 4];
+    for (std::size_t k = 0; k < n; ++k) req.options.push_back(static_cast<OptionId>(10 + k));
+    WireWriter w;
+    req.encode(w);
+    append_frame(stream, MsgType::DecisionRequest, w);
+    const OptionId pick =
+        n == 0 ? 0 : req.options[static_cast<std::size_t>(i) % n];
+    expected.push_back({MsgType::DecisionResponse, i, pick});
+    ++decisions;
+  }
+
+  TcpConnection conn = TcpConnection::connect_local(server.port());
+  conn.set_recv_timeout_ms(30'000);
+  std::thread sender([&] { conn.send_all(stream); });
+  bool paused = false;
+  for (int i = 0; i < 2000 && !paused; ++i) {
+    paused = server.backpressure_paused_conns() == 1;
+    if (!paused) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(paused);
+
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    Frame reply;
+    ASSERT_TRUE(recv_frame(conn, reply)) << "reply " << i;
+    ASSERT_EQ(reply.type, static_cast<std::uint8_t>(expected[i].type)) << "reply " << i;
+    WireReader r(reply.payload);
+    if (expected[i].type == MsgType::DecisionResponse) {
+      const DecisionResponse resp = DecisionResponse::decode(r);
+      ASSERT_EQ(resp.call_id, expected[i].call_id) << "reply " << i;
+      ASSERT_EQ(resp.option, expected[i].option) << "reply " << i;
+    } else if (expected[i].type == MsgType::GossipSegmentsAck) {
+      EXPECT_EQ(GossipSegmentsAckMsg::decode(r).accepted, 0u);  // no gossip handler
+    } else {
+      EXPECT_TRUE(reply.payload.empty());
+    }
+  }
+  sender.join();
+  EXPECT_GE(server.backpressure_pauses_total(), 1u);
+  conn.close();
+  server.stop();
+  EXPECT_EQ(server.decisions_served(), decisions);
+}
+
 TEST_P(BackendReactor, LeastConnectionsPinningBalancesWorkers) {
   ModuloPolicy policy;
   ControllerServer server(policy, 0, config(2));

@@ -11,8 +11,9 @@
 # Set VIA_CI_TSAN=1 to additionally run the threaded tests (including the
 # reactor worker hammer in test_reactor, and test_rpc, whose servers run
 # reactor workers) under ThreadSanitizer,
-# and VIA_CI_ASAN=1 to run the chaos/fault/RPC/federation tests under
-# ASan+UBSan;
+# and VIA_CI_ASAN=1 to run the chaos/fault/RPC/federation tests, the
+# reactor and connection-buffer tests, and the hostile-bytes decoder
+# harness under ASan+UBSan;
 # the ASan stage dumps flight-recorder + span-buffer JSONL into
 # $BUILD_DIR-asan/flight-dump/ when a test fails (uploaded as CI artifacts).
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
@@ -95,9 +96,10 @@ if [[ "${VIA_CI_TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${VIA_CI_ASAN:-0}" == "1" ]]; then
-  echo "== asan: chaos + fault + rpc + federation tests under ASan+UBSan =="
+  echo "== asan: chaos + fault + rpc + federation + reactor + buffer + hostile-bytes tests under ASan+UBSan =="
   cmake -B "$BUILD_DIR-asan" -S . -DVIA_ASAN=ON
-  cmake --build "$BUILD_DIR-asan" -j --target test_chaos test_faults test_rpc test_federation
+  cmake --build "$BUILD_DIR-asan" -j --target test_chaos test_faults test_rpc test_federation \
+    test_reactor test_conn_buffer test_hostile_bytes
   # On failure each binary dumps its process-wide flight recorder and span
   # buffer as JSONL into this directory (tests/flight_dump.h); the GitHub
   # workflow uploads it as an artifact so a red chaos run is debuggable.
@@ -106,6 +108,9 @@ if [[ "${VIA_CI_ASAN:-0}" == "1" ]]; then
   VIA_FLIGHT_DUMP="$BUILD_DIR-asan/flight-dump" "$BUILD_DIR-asan/tests/test_faults"
   VIA_FLIGHT_DUMP="$BUILD_DIR-asan/flight-dump" "$BUILD_DIR-asan/tests/test_rpc"
   VIA_FLIGHT_DUMP="$BUILD_DIR-asan/flight-dump" "$BUILD_DIR-asan/tests/test_federation"
+  "$BUILD_DIR-asan/tests/test_reactor"
+  "$BUILD_DIR-asan/tests/test_conn_buffer"
+  "$BUILD_DIR-asan/tests/test_hostile_bytes"
 fi
 
 echo "== ci.sh: all green =="
