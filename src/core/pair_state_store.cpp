@@ -30,8 +30,7 @@ PairStateStore::PairStateStore(std::uint64_t seed, std::size_t stripes,
 void PairStateStore::budget_on_call(double predicted_benefit) {
   if (budget_config_.fraction >= 1.0) {
     // Unlimited budget: BudgetFilter::on_call would only bump its call
-    // counter, so the gate stays lock-free on the hot path.
-    budget_calls_.inc();
+    // counter, which nothing reads, so the gate is skipped on the hot path.
     return;
   }
   const std::lock_guard lock(budget_mutex_);
@@ -39,10 +38,7 @@ void PairStateStore::budget_on_call(double predicted_benefit) {
 }
 
 bool PairStateStore::budget_allow_relay(double predicted_benefit) {
-  if (budget_config_.fraction >= 1.0) {
-    budget_granted_.inc();
-    return true;
-  }
+  if (budget_config_.fraction >= 1.0) return true;
   const std::lock_guard lock(budget_mutex_);
   return budget_.allow_relay(predicted_benefit);
 }

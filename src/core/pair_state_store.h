@@ -12,9 +12,9 @@
 // for bit, while the RPC server configures many stripes for concurrency.
 //
 // Global accounting is tiered by cost:
-//   - decision stats: relaxed atomics, always.
-//   - budget gate: unlimited budget (the default) touches only relaxed
-//     atomics; a constrained budget wraps the exact BudgetFilter (P2
+//   - decision stats: per-thread-sharded relaxed counters, always.
+//   - budget gate: unlimited budget (the default) touches nothing; a
+//     constrained budget wraps the exact BudgetFilter (P2
 //     quantile + token bucket) in a dedicated mutex, preserving its
 //     sequential semantics bit for bit.
 //   - relay-share cap: disabled (cap >= 1) costs nothing; enabled, the
@@ -22,7 +22,6 @@
 //     is never violated by a lost update.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -31,6 +30,7 @@
 #include "common/relay_option.h"
 #include "core/bandit.h"
 #include "core/budget.h"
+#include "obs/metrics.h"
 #include "util/cacheline.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
@@ -57,21 +57,21 @@ struct PairServingState {
 /// Decision accounting (the concurrent mirror of ViaPolicy::Stats;
 /// ViaPolicy::stats() flattens it into the plain struct).  Every serving
 /// thread bumps `calls` and a handful of outcome counters per decision, so
-/// these are ShardedCounters: single relaxed atomics here put all eleven
-/// hot words on two shared cache lines and showed up as the 4/8-thread
-/// throughput decline in BENCH_core.json.
+/// these are per-thread-sharded obs::Counters: single relaxed atomics here
+/// put all eleven hot words on two shared cache lines and showed up as the
+/// 4/8-thread throughput decline in BENCH_core.json.
 struct ServingStats {
-  ShardedCounter calls;
-  ShardedCounter epsilon_explored;
-  ShardedCounter bandit_served;
-  ShardedCounter cold_start_direct;
-  ShardedCounter budget_denied;
-  ShardedCounter relay_cap_denied;
-  ShardedCounter quarantine_rerouted;
-  ShardedCounter outage_fallback_direct;
-  ShardedCounter chose_direct;
-  ShardedCounter chose_bounce;
-  ShardedCounter chose_transit;
+  obs::Counter calls;
+  obs::Counter epsilon_explored;
+  obs::Counter bandit_served;
+  obs::Counter cold_start_direct;
+  obs::Counter budget_denied;
+  obs::Counter relay_cap_denied;
+  obs::Counter quarantine_rerouted;
+  obs::Counter outage_fallback_direct;
+  obs::Counter chose_direct;
+  obs::Counter chose_bounce;
+  obs::Counter chose_transit;
 };
 
 class PairStateStore {
@@ -149,8 +149,6 @@ class PairStateStore {
   BudgetConfig budget_config_;
   std::mutex budget_mutex_;
   BudgetFilter budget_;  ///< guarded by budget_mutex_ (constrained path only)
-  ShardedCounter budget_calls_;    ///< unlimited fast path
-  ShardedCounter budget_granted_;  ///< unlimited fast path
 
   double relay_share_cap_;
   std::mutex relay_mutex_;

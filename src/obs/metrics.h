@@ -2,7 +2,9 @@
 //
 // Three primitive instruments, all safe to update concurrently and designed
 // so the hot path is a handful of relaxed atomics:
-//   - Counter:          monotonically increasing int64 (decisions, bytes, ...)
+//   - Counter:          monotonically increasing int64 (decisions, bytes, ...),
+//                       sharded per thread so concurrent increments do not
+//                       share a cache line
 //   - Gauge:            last-written double (coverage, segment counts, ...)
 //   - LatencyHistogram: fixed cumulative-bucket histogram ("le" semantics,
 //                       like Prometheus) with an atomic count/sum
@@ -25,19 +27,37 @@
 #include <string_view>
 #include <vector>
 
+#include "util/cacheline.h"
+
 namespace via::obs {
 
+/// Monotonic counter sharded across cache-line-padded cells, one per
+/// recording thread (tls_counter_slot(); threads past kCells share).
+/// inc() touches only the calling thread's cell, so serving threads that
+/// all bump the same counter per decision do not bounce one line between
+/// them; value() folds the cells and is approximate under concurrent
+/// increments, exactly like a single relaxed atomic read would be.
 class Counter {
  public:
+  Counter() = default;
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
+
   void inc(std::int64_t delta = 1) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    cells_[tls_counter_slot() & (kCells - 1)].v.fetch_add(delta, std::memory_order_relaxed);
   }
   [[nodiscard]] std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
+    std::int64_t sum = 0;
+    for (const Cell& cell : cells_) sum += cell.v.load(std::memory_order_relaxed);
+    return sum;
   }
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  static constexpr std::size_t kCells = 16;  // power of two; covers typical core counts
+  struct alignas(kDestructiveInterferenceSize) Cell {
+    std::atomic<std::int64_t> v{0};
+  };
+  Cell cells_[kCells];
 };
 
 class Gauge {

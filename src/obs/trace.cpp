@@ -8,6 +8,9 @@
 #include <cstdlib>
 #include <ostream>
 
+#include "util/cacheline.h"
+#include "util/flat_map.h"
+
 namespace via::obs {
 
 std::optional<DecisionReason> decision_reason_from(std::string_view name) noexcept {
@@ -150,44 +153,101 @@ std::optional<DecisionEvent> DecisionEvent::from_jsonl(std::string_view line) {
   return e;
 }
 
-DecisionTrace::DecisionTrace(std::size_t capacity) : capacity_(capacity) {
-  ring_.reserve(std::min<std::size_t>(capacity_, 4096));
+struct alignas(kDestructiveInterferenceSize) DecisionTrace::Shard {
+  explicit Shard(std::size_t capacity) {
+    ring.reserve(capacity);
+    index.reserve(capacity);
+  }
+
+  /// Resident events in this shard, oldest first.
+  void append_to(std::vector<DecisionEvent>& out) const {
+    const auto split = ring.begin() + static_cast<std::ptrdiff_t>(next);
+    out.insert(out.end(), split, ring.end());
+    out.insert(out.end(), ring.begin(), split);
+  }
+
+  /// The resident event for `call_id` (its newest), or nullptr.
+  DecisionEvent* find(CallId call_id) noexcept {
+    const std::size_t* slot = index.find(static_cast<std::uint64_t>(call_id));
+    return slot != nullptr ? &ring[*slot] : nullptr;
+  }
+
+  mutable std::mutex mutex;
+  std::vector<DecisionEvent> ring;  ///< fills to capacity, then wraps at `next`
+  std::size_t next = 0;             ///< slot the next event overwrites once full
+  std::int64_t recorded = 0;
+  FlatMap<std::size_t> index;       ///< call id -> ring slot of its newest event
+};
+
+DecisionTrace::DecisionTrace(std::size_t capacity) : capacity_(capacity) {}
+
+DecisionTrace::~DecisionTrace() {
+  for (std::atomic<Shard*>& shard : shards_) delete shard.load(std::memory_order_relaxed);
+}
+
+DecisionTrace::Shard& DecisionTrace::own_shard() {
+  std::atomic<Shard*>& cell = shards_[tls_counter_slot() & (kMaxShards - 1)];
+  if (Shard* shard = cell.load(std::memory_order_acquire)) return *shard;
+  const std::lock_guard lock(create_mutex_);
+  Shard* shard = cell.load(std::memory_order_relaxed);
+  if (shard == nullptr) {
+    shard = new Shard(capacity_);
+    cell.store(shard, std::memory_order_release);
+  }
+  return *shard;
 }
 
 void DecisionTrace::record(const DecisionEvent& event) {
   if (capacity_ == 0) return;
-  const std::lock_guard lock(mutex_);
-  if (ring_.size() < capacity_) {
-    index_[event.call_id] = ring_.size();
-    ring_.push_back(event);
+  Shard& shard = own_shard();
+  const std::lock_guard lock(shard.mutex);
+  const auto id = static_cast<std::uint64_t>(event.call_id);
+  if (shard.ring.size() < capacity_) {
+    shard.index.insert(id, shard.ring.size());
+    shard.ring.push_back(event);
   } else {
-    // Overwrite the oldest slot; its call id leaves the index.
-    const auto evicted = index_.find(ring_[next_].call_id);
-    if (evicted != index_.end() && evicted->second == next_) index_.erase(evicted);
-    index_[event.call_id] = next_;
-    ring_[next_] = event;
-    next_ = (next_ + 1) % capacity_;
+    // Overwrite the oldest slot; its call id leaves the index unless a
+    // newer event for the same id owns the entry.
+    const auto evicted = static_cast<std::uint64_t>(shard.ring[shard.next].call_id);
+    if (const std::size_t* slot = shard.index.find(evicted); slot && *slot == shard.next) {
+      shard.index.erase(evicted);
+    }
+    shard.index.insert(id, shard.next);
+    shard.ring[shard.next] = event;
+    shard.next = (shard.next + 1) % capacity_;
   }
-  ++recorded_;
+  ++shard.recorded;
 }
 
 void DecisionTrace::fill_observed(CallId call_id, double observed) {
   if (capacity_ == 0) return;
-  const std::lock_guard lock(mutex_);
-  const auto it = index_.find(call_id);
-  if (it != index_.end()) ring_[it->second].observed = observed;
+  // The report usually lands on the thread that made the decision; look
+  // there first and only then walk the other shards.
+  const std::size_t own = tls_counter_slot() & (kMaxShards - 1);
+  for (std::size_t i = 0; i < kMaxShards; ++i) {
+    Shard* shard = shards_[(own + i) & (kMaxShards - 1)].load(std::memory_order_acquire);
+    if (shard == nullptr) continue;
+    const std::lock_guard lock(shard->mutex);
+    if (DecisionEvent* event = shard->find(call_id)) {
+      event->observed = observed;
+      return;
+    }
+  }
+}
+
+template <typename Fn>
+void DecisionTrace::for_each_shard(Fn&& fn) const {
+  for (const std::atomic<Shard*>& cell : shards_) {
+    const Shard* shard = cell.load(std::memory_order_acquire);
+    if (shard == nullptr) continue;
+    const std::lock_guard lock(shard->mutex);
+    fn(*shard);
+  }
 }
 
 std::vector<DecisionEvent> DecisionTrace::snapshot() const {
-  const std::lock_guard lock(mutex_);
   std::vector<DecisionEvent> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_), ring_.end());
-    out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(next_));
-  }
+  for_each_shard([&](const Shard& shard) { shard.append_to(out); });
   return out;
 }
 
@@ -196,13 +256,17 @@ void DecisionTrace::export_jsonl(std::ostream& os) const {
 }
 
 std::int64_t DecisionTrace::recorded() const {
-  const std::lock_guard lock(mutex_);
-  return recorded_;
+  std::int64_t total = 0;
+  for_each_shard([&](const Shard& shard) { total += shard.recorded; });
+  return total;
 }
 
 std::int64_t DecisionTrace::dropped() const {
-  const std::lock_guard lock(mutex_);
-  return recorded_ - static_cast<std::int64_t>(ring_.size());
+  std::int64_t total = 0;
+  for_each_shard([&](const Shard& shard) {
+    total += shard.recorded - static_cast<std::int64_t>(shard.ring.size());
+  });
+  return total;
 }
 
 }  // namespace via::obs

@@ -1,10 +1,12 @@
 // Per-call decision tracing: one structured event per routed call,
 // recording *why* the controller picked the option it picked (§4.4-4.6
-// decision taxonomy).  Events live in a bounded ring buffer (old entries
+// decision taxonomy).  Events live in bounded per-thread rings (old entries
 // are overwritten) and export as JSONL, one self-contained object per
 // line, parseable back into DecisionEvent for offline analysis.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -12,7 +14,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -81,9 +82,38 @@ struct DecisionEvent {
 /// while the event is still resident.  Capacity 0 disables the ring
 /// entirely: record()/fill_observed() become no-ops, and callers can (and
 /// the policy does) check enabled() to skip building events altogether.
+///
+/// Sharding.  Every serving thread records a decision per call, so the
+/// ring is split into up to kMaxShards shards, one per recording thread
+/// (picked by tls_counter_slot(); threads past kMaxShards share).  A shard
+/// is created on its thread's first record() and then owns:
+///   - its own mutex, taken by its recording thread and, rarely, by a
+///     fill_observed() or snapshot() from another thread;
+///   - a ring of `capacity` events, reserved when the shard is created;
+///   - an open-addressing index (call id -> ring slot, FlatMap with
+///     backward-shift delete) reserved for `capacity` ids.
+/// record() therefore neither contends nor allocates once its shard exists.
+///
+/// Bounds and order.  The capacity bound is per shard: each shard keeps
+/// its thread's newest `capacity` events, so a trace recorded from N
+/// threads holds up to min(N, kMaxShards) * capacity events.  snapshot()
+/// concatenates the shards in shard order, each oldest first; events of
+/// different threads are not ordered against each other.  Recording from
+/// one thread (the simulation engine, every single-threaded caller) uses
+/// one shard and keeps exactly the newest `capacity` events, oldest first.
+///
+/// Lookup.  fill_observed() searches the caller's own shard first, then
+/// the others, and fills the first resident match it finds.  Within
+/// a shard a repeated call id resolves to its newest event.
 class DecisionTrace {
  public:
+  static constexpr std::size_t kMaxShards = 16;  // power of two
+
   explicit DecisionTrace(std::size_t capacity = 4096);
+  ~DecisionTrace();
+
+  DecisionTrace(const DecisionTrace&) = delete;
+  DecisionTrace& operator=(const DecisionTrace&) = delete;
 
   /// False when constructed with capacity 0 (tracing turned off).
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
@@ -93,23 +123,28 @@ class DecisionTrace {
   /// Fills `observed` into the resident event for `call_id`, if any.
   void fill_observed(CallId call_id, double observed);
 
-  /// Resident events, oldest first.
+  /// Resident events: shard by shard, each oldest first.
   [[nodiscard]] std::vector<DecisionEvent> snapshot() const;
 
-  /// Writes the resident events as JSONL, oldest first.
+  /// Writes the resident events as JSONL, in snapshot() order.
   void export_jsonl(std::ostream& os) const;
 
+  /// Events each shard keeps (the per-shard bound).
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::int64_t recorded() const;  ///< total ever recorded
   [[nodiscard]] std::int64_t dropped() const;   ///< overwritten by wraparound
 
  private:
+  struct Shard;
+
+  [[nodiscard]] Shard& own_shard();
+  /// Runs fn(const Shard&) on every created shard, each under its mutex.
+  template <typename Fn>
+  void for_each_shard(Fn&& fn) const;
+
   const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<DecisionEvent> ring_;
-  std::size_t next_ = 0;  ///< slot the next event goes into
-  std::int64_t recorded_ = 0;
-  std::unordered_map<CallId, std::size_t> index_;  ///< call id -> ring slot
+  std::atomic<Shard*> shards_[kMaxShards] = {};  ///< created once, freed by ~DecisionTrace
+  std::mutex create_mutex_;                      ///< serializes shard creation
 };
 
 }  // namespace via::obs

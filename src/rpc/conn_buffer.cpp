@@ -36,6 +36,13 @@ bool ReadBuffer::next_frame(Frame& out) {
   out.type = static_cast<std::uint8_t>(p[4]);
   out.payload.assign(p + kFrameHeaderBytes, p + kFrameHeaderBytes + len);
   begin_ += kFrameHeaderBytes + len;
+  if (begin_ == end_ && buf_.capacity() > kRetainCapacity) {
+    // Drained after a large frame: give the pages back, as WriteBuffer
+    // does, so one big frame does not pin its buffer for the
+    // connection's life.  writable() regrows it to one read chunk.
+    buf_ = std::vector<std::byte>();
+    begin_ = end_ = 0;
+  }
   return true;
 }
 

@@ -88,6 +88,8 @@ class ReadBuffer {
   [[nodiscard]] std::size_t buffered() const noexcept { return end_ - begin_; }
 
   /// Heap bytes currently held (capacity, not live bytes) — RSS accounting.
+  /// Once the buffered bytes drain, a buffer grown past kRetainCapacity
+  /// (by a large frame) is released.
   [[nodiscard]] std::size_t approx_bytes() const noexcept { return buf_.capacity(); }
 
  private:

@@ -1,16 +1,16 @@
-// Cache-line geometry and a per-thread sharded counter.
+// Cache-line geometry and a stable per-thread slot id.
 //
-// The concurrent-choose plateau (ROADMAP open item 2) traced to two kinds of
-// cache-line ping-pong: adjacent PairStateStore stripes sharing lines, and
-// every serving thread hammering the same relaxed-atomic decision counters.
-// `kDestructiveInterferenceSize` gives the padding granularity; ShardedCounter
-// spreads one logical counter over per-thread cells on distinct lines so
-// increments are contention-free and reads fold the cells.
+// The concurrent-choose plateau traced to two kinds of cache-line
+// ping-pong: adjacent PairStateStore stripes sharing lines, and every
+// serving thread hammering the same relaxed-atomic decision counters.
+// `kDestructiveInterferenceSize` gives the padding granularity;
+// tls_counter_slot() picks the per-thread cell of a sharded structure
+// (obs::Counter's cells, obs::DecisionTrace's shards) so each thread
+// writes its own lines.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <new>
 
 namespace via {
@@ -33,40 +33,12 @@ inline constexpr std::size_t kDestructiveInterferenceSize = 64;
 #endif
 
 /// Stable small id for the calling thread, assigned on first use.  Used to
-/// pick a ShardedCounter cell; ids are never reused, so long-lived thread
+/// pick a per-thread cell or shard; ids are never reused, so long-lived thread
 /// pools each keep a private cell while short-lived threads wrap around.
 [[nodiscard]] inline std::size_t tls_counter_slot() noexcept {
   static std::atomic<std::size_t> next{0};
   thread_local const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
   return slot;
 }
-
-/// A monotonically updated statistic sharded across cache-line-padded cells.
-/// inc() touches only the calling thread's cell (relaxed, contention-free);
-/// value() folds all cells and is approximate under concurrent increments,
-/// exactly like a single relaxed atomic read would be.
-class ShardedCounter {
- public:
-  ShardedCounter() = default;
-  ShardedCounter(const ShardedCounter&) = delete;
-  ShardedCounter& operator=(const ShardedCounter&) = delete;
-
-  void inc(std::int64_t n = 1) noexcept {
-    cells_[tls_counter_slot() & (kCells - 1)].v.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::int64_t value() const noexcept {
-    std::int64_t sum = 0;
-    for (const Cell& cell : cells_) sum += cell.v.load(std::memory_order_relaxed);
-    return sum;
-  }
-
- private:
-  static constexpr std::size_t kCells = 16;  // power of two; covers typical core counts
-  struct alignas(kDestructiveInterferenceSize) Cell {
-    std::atomic<std::int64_t> v{0};
-  };
-  Cell cells_[kCells];
-};
 
 }  // namespace via

@@ -228,6 +228,47 @@ TEST(ReadBuffer, ReusedFrameSlotTakesShorterAndLongerPayloads) {
   EXPECT_EQ(slot.payload[899], std::byte{0x03});
 }
 
+TEST(ReadBuffer, DrainAfterLargeFrameReleasesTheBuffer) {
+  // A 1 MiB gossip frame arriving in 64 KiB reads grows the buffer to
+  // hold it whole; once the frame is consumed the buffer must give that
+  // memory back instead of pinning it for the connection's life.
+  constexpr std::size_t kChunk = 64 * 1024;
+  const std::vector<std::byte> wire =
+      encode_frame(static_cast<std::uint8_t>(MsgType::GossipSegments), kMaxPayload);
+  ReadBuffer rb;
+  Frame frame;
+  std::size_t sent = 0;
+  std::size_t peak = 0;
+  int frames = 0;
+  while (sent < wire.size()) {
+    const auto dst = rb.writable(kChunk);
+    const std::size_t n = std::min({kChunk, dst.size(), wire.size() - sent});
+    std::memcpy(dst.data(), wire.data() + sent, n);
+    rb.commit(n);
+    sent += n;
+    peak = std::max(peak, rb.approx_bytes());
+    while (rb.next_frame(frame)) ++frames;
+  }
+  ASSERT_EQ(frames, 1);
+  EXPECT_EQ(frame.type, static_cast<std::uint8_t>(MsgType::GossipSegments));
+  EXPECT_EQ(frame.payload.size(), kMaxPayload);
+  EXPECT_GT(peak, kMaxPayload);
+  EXPECT_EQ(rb.buffered(), 0u);
+  EXPECT_LE(rb.approx_bytes(), kRetainCapacity);
+
+  // Small frames after it still peel, and a steady small stream keeps
+  // its one-chunk buffer instead of reallocating every round.
+  for (int round = 0; round < 3; ++round) {
+    const std::vector<std::byte> small = encode_frame(1, 40, std::byte{0x42});
+    const auto dst = rb.writable(kChunk);
+    std::memcpy(dst.data(), small.data(), small.size());
+    rb.commit(small.size());
+    ASSERT_TRUE(rb.next_frame(frame));
+    EXPECT_EQ(frame.payload.size(), 40u);
+    EXPECT_EQ(rb.approx_bytes(), kChunk);
+  }
+}
+
 TEST(FrameSlots, TrimKeepsSteadySlotsAndBoundsTheTotal) {
   // A steady pipeline's slots keep their buffers: nothing to reallocate
   // on the next round.

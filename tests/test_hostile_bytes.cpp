@@ -1,16 +1,19 @@
 // Hostile-bytes harness: seeded byte mutations of valid wire data, fed to
 // every message decoder, to the reactor's incremental frame peel
-// (ReadBuffer::next_frame), to the blocking recv_frame, and to a live epoll
-// server.  Mutations are truncation, bit flips, inflated length and count
+// (ReadBuffer::next_frame), to the blocking recv_frame, to a live epoll
+// server, and to a live admin HTTP sidecar.  Mutations are truncation, bit flips, inflated length and count
 // fields, random overwrites, appended garbage, and unknown message types.
 //
 // The contract under test: a decoder returns a value or throws
 // ProtocolError — nothing else, and never reads out of bounds (this binary
 // runs under ASan+UBSan in CI).  A live connection that sends a violation
 // gets the replies to every frame before it, then one Error frame, then a
-// close, while the server keeps serving other connections.
+// close, while the server keeps serving other connections.  The admin
+// sidecar answers every request with 200, 404 or 405, or closes, and
+// keeps answering afterwards.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -26,6 +29,8 @@
 #include <vector>
 
 #include "core/policy.h"
+#include "obs/telemetry.h"
+#include "rpc/admin_http.h"
 #include "rpc/client.h"
 #include "rpc/conn_buffer.h"
 #include "rpc/framing.h"
@@ -474,6 +479,116 @@ TEST(HostileBytes, LiveServerRepliesThenErrorsAndKeepsServing) {
   EXPECT_EQ(server.protocol_errors(), kTrials);
   bystander.shutdown();
   server.stop();
+}
+
+// ------------------------------------------------------- admin sidecar
+
+/// Sends `request` to the admin sidecar, half-closes, and reads to EOF.
+/// Returns the raw reply; empty when the sidecar closed (or reset) without
+/// one.  A send the sidecar cut short by closing counts as a close too.
+std::string admin_exchange(std::uint16_t port, const std::string& request) {
+  TcpConnection conn = TcpConnection::connect_local(port);
+  std::size_t sent = 0;
+  while (sent < request.size()) {
+    const ssize_t n =
+        ::send(conn.fd(), request.data() + sent, request.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // EPIPE/ECONNRESET: the sidecar already gave up
+    sent += static_cast<std::size_t>(n);
+  }
+  ::shutdown(conn.fd(), SHUT_WR);
+  std::string reply;
+  char buf[4096];
+  for (;;) {
+    pollfd pfd{conn.fd(), POLLIN, 0};
+    if (::poll(&pfd, 1, 10'000) <= 0) {
+      ADD_FAILURE() << "admin sidecar neither replied nor closed";
+      break;
+    }
+    const ssize_t n = ::recv(conn.fd(), buf, sizeof buf, 0);
+    if (n <= 0) break;  // EOF or reset
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  return reply;
+}
+
+/// One seeded hostile admin request and, when the sidecar's answer is
+/// determined, the status it must carry ("" = any allowed answer).
+struct AdminCase {
+  std::string request;
+  std::string want_status;
+};
+
+AdminCase hostile_admin_request(std::mt19937_64& rng) {
+  static const std::string kValid[] = {
+      "GET /healthz HTTP/1.0\r\n\r\n",
+      "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n",
+      "GET /varz?verbose=1 HTTP/1.0\r\n\r\n",
+      "GET /flightrecord HTTP/1.0\r\n\r\n",
+      "GET /trace HTTP/1.0\n\n",
+      "GET /nope HTTP/1.0\r\n\r\n",
+  };
+  const std::string& base = kValid[rng() % std::size(kValid)];
+  std::string req = base;
+  switch (rng() % 5) {
+    case 0: {  // random byte overwrites, NULs and newlines included
+      for (int k = 1 + static_cast<int>(rng() % 4); k > 0; --k) {
+        req[rng() % req.size()] = static_cast<char>(rng() % 256);
+      }
+      return {req, ""};
+    }
+    case 1:  // truncated anywhere, including before the method
+      req.resize(rng() % req.size());
+      return {req, ""};
+    case 2: {  // oversized: a path or header block past the 8 KiB read cap
+      const std::size_t n = 8 * 1024 + 1 + rng() % (16 * 1024);
+      std::string filler(n, 'a');
+      for (char& c : filler) c = static_cast<char>('a' + rng() % 26);
+      if (rng() % 2 == 0) return {"GET /" + filler + " HTTP/1.0\r\n\r\n", ""};
+      return {"GET /healthz HTTP/1.0\r\nX-Pad: " + filler + "\r\n\r\n", ""};
+    }
+    case 3: {  // not a GET
+      static const char* kMethods[] = {"POST", "PUT", "DELETE", "HEAD", "get", "G3T", "\x01\xff"};
+      const std::string method = kMethods[rng() % std::size(kMethods)];
+      return {method + base.substr(3), "405"};
+    }
+    default: {  // binary garbage, with or without a header terminator
+      std::string junk(1 + rng() % 512, '\0');
+      for (char& c : junk) c = static_cast<char>(rng() % 256);
+      if (rng() % 2 == 0) junk += "\r\n\r\n";
+      return {junk, ""};
+    }
+  }
+}
+
+TEST(HostileBytes, AdminSidecarAnswersOrClosesAndKeepsServing) {
+  obs::Telemetry telemetry;
+  telemetry.registry.counter("rpc.server.decisions").inc(3);
+  AdminHttpServer admin(telemetry, 0);
+  admin.start();
+
+  constexpr int kTrials = 120;
+  std::mt19937_64 rng(0x5EED4004);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const AdminCase c = hostile_admin_request(rng);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::string reply = admin_exchange(admin.port(), c.request);
+    if (reply.empty()) {
+      EXPECT_TRUE(c.want_status.empty()) << "closed without the expected " << c.want_status;
+      continue;
+    }
+    const std::string status = reply.substr(0, reply.find("\r\n"));
+    EXPECT_TRUE(status == "HTTP/1.0 200 OK" || status == "HTTP/1.0 404 Not Found" ||
+                status == "HTTP/1.0 405 Method Not Allowed")
+        << status;
+    if (!c.want_status.empty()) {
+      EXPECT_NE(status.find(c.want_status), std::string::npos);
+    }
+  }
+
+  const std::string healthz = admin_exchange(admin.port(), "GET /healthz HTTP/1.0\r\n\r\n");
+  EXPECT_TRUE(healthz.starts_with("HTTP/1.0 200 OK\r\n")) << healthz;
+  EXPECT_TRUE(healthz.ends_with("\r\n\r\nok\n")) << healthz;
+  admin.stop();
 }
 
 }  // namespace

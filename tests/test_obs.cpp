@@ -7,12 +7,42 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <deque>
 #include <map>
+#include <new>
+#include <random>
 #include <sstream>
 #include <string_view>
 #include <thread>
 #include <vector>
+
+// Counts the calling thread's heap allocations while enabled, so a test
+// can assert that a hot path allocates nothing.
+namespace {
+thread_local bool g_count_allocations = false;
+thread_local long g_allocations = 0;
+}  // namespace
+
+// GCC pairs the inlined free() below with the caller's `new` expression
+// and flags a mismatch; both ends are these replacements, so it is not one.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t n) {
+  if (g_count_allocations) ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace via {
 namespace {
@@ -239,6 +269,158 @@ TEST(ObsTrace, ReasonNamesRoundTrip) {
     EXPECT_EQ(*back, r);
   }
   EXPECT_FALSE(obs::decision_reason_from("nonsense").has_value());
+}
+
+/// The decision ring as a naive deque: push at the back, drop the front
+/// past capacity, fill the newest resident event with a matching call id.
+class ReferenceTrace {
+ public:
+  explicit ReferenceTrace(std::size_t capacity) : capacity_(capacity) {}
+
+  void record(const DecisionEvent& e) {
+    if (capacity_ == 0) return;
+    events_.push_back(e);
+    if (events_.size() > capacity_) events_.pop_front();
+    ++recorded_;
+  }
+  void fill_observed(CallId id, double observed) {
+    for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
+      if (it->call_id == id) {
+        it->observed = observed;
+        return;
+      }
+    }
+  }
+  [[nodiscard]] std::vector<DecisionEvent> snapshot() const {
+    return {events_.begin(), events_.end()};
+  }
+  [[nodiscard]] std::int64_t recorded() const { return recorded_; }
+  [[nodiscard]] std::int64_t dropped() const {
+    return recorded_ - static_cast<std::int64_t>(events_.size());
+  }
+
+ private:
+  std::size_t capacity_;
+  std::deque<DecisionEvent> events_;
+  std::int64_t recorded_ = 0;
+};
+
+bool same_event(const DecisionEvent& a, const DecisionEvent& b) {
+  const auto same_double = [](double x, double y) {
+    return (std::isnan(x) && std::isnan(y)) || x == y;
+  };
+  return a.call_id == b.call_id && a.time == b.time && a.src_as == b.src_as &&
+         a.dst_as == b.dst_as && a.option == b.option && a.reason == b.reason &&
+         same_double(a.predicted, b.predicted) && same_double(a.observed, b.observed) &&
+         a.top_k_size == b.top_k_size && a.bandit_pulls == b.bandit_pulls;
+}
+
+void expect_same_trace(const obs::DecisionTrace& trace, const ReferenceTrace& ref) {
+  ASSERT_EQ(trace.recorded(), ref.recorded());
+  ASSERT_EQ(trace.dropped(), ref.dropped());
+  const std::vector<DecisionEvent> got = trace.snapshot();
+  const std::vector<DecisionEvent> want = ref.snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(same_event(got[i], want[i]))
+        << "slot " << i << ": " << got[i].to_jsonl() << " vs " << want[i].to_jsonl();
+  }
+}
+
+TEST(ObsTrace, SingleThreadMatchesNaiveReference) {
+  // Seeded record/fill_observed sequences over a small id space, so ids
+  // repeat while resident and get filled after eviction.
+  for (const std::size_t capacity : {0u, 1u, 2u, 7u, 4096u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " + std::to_string(seed));
+      std::mt19937_64 rng(seed * 7919 + capacity);
+      obs::DecisionTrace trace(capacity);
+      ReferenceTrace ref(capacity);
+      const std::size_t ops = 3 * capacity + 300;
+      const auto id_space = static_cast<CallId>(2 * capacity + 5);
+      CallId fresh = 1'000'000;
+      for (std::size_t op = 0; op < ops; ++op) {
+        const std::uint64_t roll = rng() % 10;
+        if (roll < 6) {
+          // Mostly reused ids; sometimes one never seen before.
+          const CallId id = rng() % 4 == 0 ? fresh++ : static_cast<CallId>(rng() % id_space);
+          DecisionEvent e = make_event(id);
+          e.time = static_cast<TimeSec>(op);
+          trace.record(e);
+          ref.record(e);
+        } else {
+          const CallId id = roll == 9 ? fresh + 17 : static_cast<CallId>(rng() % id_space);
+          const double observed = static_cast<double>(op) + 0.25;
+          trace.fill_observed(id, observed);
+          ref.fill_observed(id, observed);
+        }
+        if (op % 97 == 0) expect_same_trace(trace, ref);
+      }
+      expect_same_trace(trace, ref);
+    }
+  }
+}
+
+TEST(ObsTrace, ConcurrentRecordAndCrossThreadFillKeepEveryEvent) {
+  // Each thread records its own call ids and fills the ids of the next
+  // thread once that thread has published them, so every id gets exactly
+  // one fill, from another shard, racing the owner's records.
+  constexpr int kThreads = 4;
+  constexpr CallId kPerThread = 6000;
+  constexpr std::size_t kCapacity = 512;
+  obs::DecisionTrace trace(kCapacity);
+  std::array<std::atomic<CallId>, kThreads> published{};
+  const auto observed_of = [](CallId id) { return static_cast<double>(id) + 0.5; };
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const int peer = (t + 1) % kThreads;
+      CallId filled = 0;
+      const auto fill_published = [&] {
+        const CallId upto = published[peer].load(std::memory_order_acquire);
+        for (; filled < upto; ++filled) {
+          const CallId id = peer * kPerThread + filled;
+          trace.fill_observed(id, observed_of(id));
+        }
+      };
+      for (CallId i = 0; i < kPerThread; ++i) {
+        trace.record(make_event(t * kPerThread + i));
+        published[t].store(i + 1, std::memory_order_release);
+        if (i % 16 == 0) fill_published();
+      }
+      while (filled < kPerThread) fill_published();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(trace.recorded(), kThreads * kPerThread);
+  const std::vector<DecisionEvent> events = trace.snapshot();
+  EXPECT_EQ(static_cast<std::int64_t>(events.size()) + trace.dropped(), trace.recorded());
+  EXPECT_GE(events.size(), kCapacity);
+  EXPECT_LE(events.size(), kThreads * kCapacity);
+  std::vector<CallId> ids;
+  for (const DecisionEvent& e : events) {
+    ids.push_back(e.call_id);
+    EXPECT_EQ(e.observed, observed_of(e.call_id)) << "call " << e.call_id << " unfilled";
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end()) << "event held twice";
+}
+
+TEST(ObsTrace, RecordAndFillAllocateNothingOnceTheShardExists) {
+  obs::DecisionTrace trace(64);
+  trace.record(make_event(0));  // creates this thread's shard
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (CallId id = 1; id < 1000; ++id) {
+    trace.record(make_event(id % 100));
+    trace.fill_observed(id / 2, 1.0);
+  }
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations, 0);
+  EXPECT_EQ(trace.recorded(), 1000);
 }
 
 TEST(ObsExport, RenderersIncludeEveryInstrument) {

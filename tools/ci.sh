@@ -9,8 +9,9 @@
 # the bench is retried a couple of times so a transient load spike on the
 # runner does not fail the pipeline — a real regression fails every try).
 # Set VIA_CI_TSAN=1 to additionally run the threaded tests (including the
-# reactor worker hammer in test_reactor, and test_rpc, whose servers run
-# reactor workers) under ThreadSanitizer,
+# reactor worker hammer in test_reactor, test_rpc, whose servers run
+# reactor workers, and test_obs, whose decision-ring hammer records from
+# several threads) under ThreadSanitizer,
 # and VIA_CI_ASAN=1 to run the chaos/fault/RPC/federation tests, the
 # reactor and connection-buffer tests, and the hostile-bytes decoder
 # harness under ASan+UBSan;
@@ -84,15 +85,16 @@ echo "BENCH_scale.json:"
 cat "$BUILD_DIR-release/BENCH_scale.json"
 
 if [[ "${VIA_CI_TSAN:-0}" == "1" ]]; then
-  echo "== tsan: test_parallel + test_concurrent_policy + test_reactor + test_rpc + test_federation under ThreadSanitizer =="
+  echo "== tsan: test_parallel + test_concurrent_policy + test_reactor + test_rpc + test_federation + test_obs under ThreadSanitizer =="
   cmake -B "$BUILD_DIR-tsan" -S . -DVIA_TSAN=ON
   cmake --build "$BUILD_DIR-tsan" -j --target test_parallel test_concurrent_policy test_reactor \
-    test_rpc test_federation
+    test_rpc test_federation test_obs
   "$BUILD_DIR-tsan/tests/test_parallel"
   "$BUILD_DIR-tsan/tests/test_concurrent_policy"
   "$BUILD_DIR-tsan/tests/test_reactor"
   "$BUILD_DIR-tsan/tests/test_rpc"
   "$BUILD_DIR-tsan/tests/test_federation"
+  "$BUILD_DIR-tsan/tests/test_obs"
 fi
 
 if [[ "${VIA_CI_ASAN:-0}" == "1" ]]; then
