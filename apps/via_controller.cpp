@@ -12,9 +12,7 @@
 //                  [--stripes N] [--solve-threads N] [--no-prewarm]
 //                  [--max-resident-pairs N] [--pair-ttl PERIODS]
 //                  [--max-inflight N]
-//                  [--backend epoll|uring] [--write-buffer-cap BYTES]
-//                  [--reactor-threads N]
-//                  [--probe-backend uring]
+//                  [--write-buffer-cap BYTES] [--reactor-threads N]
 //                  [--replica-id N] [--peers P1,P2,...] [--ring-seed S]
 //                  [--ring-epoch E] [--gossip-period MS]
 //                  [--http-port N] [--trace-sample N]
@@ -31,23 +29,13 @@
 // Without --peers the controller runs standalone, bit-identical to the
 // pre-federation daemon.
 //
-// --backend epoll|uring: serving backend (DESIGN.md §6j).  Both serve
-// every connection from an event-driven reactor behind the same dispatch
-// path; `uring` uses one io_uring ring per worker and falls back to epoll
-// (the default) — counted and flight-recorded — when the kernel cannot
-// run it.
-//
 // --write-buffer-cap BYTES: per-connection reply-queue cap (default 4 MiB).
 // A connection whose unsent replies reach the cap stops being *read* until
 // its queue drains under half the cap, so one slow consumer cannot balloon
 // server memory (rpc.server.backpressure.* counts pauses).
 //
-// --reactor-threads N: event-loop workers (DESIGN.md §6h), N >= 1.  The
-// daemon defaults to half the hardware threads, clamped to [2, 8].
-//
-// --probe-backend uring: capability probe — exit 0 when this kernel can
-// run the io_uring backend, 3 when it cannot.  CI uses this to decide
-// between running the uring suite and an explicit SKIP.
+// --reactor-threads N: epoll event-loop workers (DESIGN.md §6h), N >= 1.
+// The daemon defaults to half the hardware threads, clamped to [2, 8].
 //
 // Observability plane (DESIGN.md §6g):
 //
@@ -128,7 +116,6 @@
 #include "rpc/admin_http.h"
 #include "rpc/client.h"
 #include "rpc/server.h"
-#include "rpc/uring_reactor.h"
 
 namespace {
 
@@ -259,21 +246,6 @@ int main(int argc, char** argv) {
         if (server_config.reactor_threads < 1) {
           throw std::invalid_argument("--reactor-threads must be >= 1");
         }
-      } else if (arg == "--backend") {
-        const std::string mode = next();
-        if (mode == "epoll") {
-          server_config.backend = ServingBackend::kEpoll;
-        } else if (mode == "uring") {
-          server_config.backend = ServingBackend::kUring;
-        } else {
-          throw std::runtime_error("unknown backend: " + mode + " (expected epoll|uring)");
-        }
-      } else if (arg == "--probe-backend") {
-        // Capability probe for CI: exit 0 when the named backend can run
-        // here, 3 when it cannot, without starting a server.
-        const std::string mode = next();
-        if (mode == "uring") return UringReactor::supported() ? 0 : 3;
-        return mode == "epoll" ? 0 : 3;
       } else if (arg == "--write-buffer-cap") {
         server_config.write_buffer_cap = std::stoull(next());
       } else if (arg == "--replica-id") {
@@ -312,9 +284,7 @@ int main(int argc, char** argv) {
                      "                      [--stripes N] [--solve-threads N] [--no-prewarm]\n"
                      "                      [--max-resident-pairs N] [--pair-ttl PERIODS]\n"
                      "                      [--max-inflight N]\n"
-                     "                      [--backend epoll|uring] [--write-buffer-cap BYTES]\n"
-                     "                      [--reactor-threads N]\n"
-                     "                      [--probe-backend uring]\n"
+                     "                      [--write-buffer-cap BYTES] [--reactor-threads N]\n"
                      "                      [--replica-id N] [--peers P1,P2,...]\n"
                      "                      [--ring-seed S] [--ring-epoch E]\n"
                      "                      [--gossip-period MS]\n"
@@ -411,8 +381,7 @@ int main(int argc, char** argv) {
            << ",\"mem_store_bytes\":" << mem.store_bytes
            << ",\"resident_pairs\":" << mem.resident_pairs
            << ",\"store_evictions\":" << mem.store_evictions
-           << ",\"serving_backend\":\"" << serving_backend_name(server.serving_backend())
-           << "\",\"backpressure_paused_conns\":" << server.backpressure_paused_conns()
+           << ",\"backpressure_paused_conns\":" << server.backpressure_paused_conns()
            << ",\"backpressure_pauses_total\":" << server.backpressure_pauses_total()
            << ",\"backpressure_queued_bytes\":" << server.backpressure_queued_bytes()
            << ",\"peak_conn_queued_bytes\":" << server.peak_conn_queued_bytes()
@@ -432,8 +401,7 @@ int main(int argc, char** argv) {
       std::cout << "admin http on 127.0.0.1:" << http->port()
                 << " (/metrics /healthz /varz /trace /flightrecord)\n";
     }
-    std::cout << "via_controller listening on 127.0.0.1:" << server.port() << " ("
-              << serving_backend_name(server.serving_backend()) << " reactor x"
+    std::cout << "via_controller listening on 127.0.0.1:" << server.port() << " (epoll reactor x"
               << server_config.reactor_threads << ", metric "
               << metric_name(config.target) << ", epsilon " << config.epsilon << ", budget "
               << config.budget.fraction << ", refresh "

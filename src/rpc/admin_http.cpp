@@ -2,12 +2,14 @@
 
 #include <sys/socket.h>
 
+#include <chrono>
 #include <cstddef>
 #include <sstream>
 #include <utility>
 
 #include "obs/export.h"
 #include "obs/span.h"
+#include "rpc/errors.h"
 
 namespace via {
 
@@ -18,12 +20,27 @@ constexpr std::size_t kMaxRequestBytes = 8192;
 
 /// Reads until the end of the HTTP header block ("\r\n\r\n" or "\n\n") or
 /// the size cap.  Byte-at-a-time is fine here: requests are one line from
-/// a scraper or a human's curl, and the reply dwarfs the request.
+/// a scraper or a human's curl, and the reply dwarfs the request.  The
+/// whole request must arrive within kRequestDeadlineMs: each read waits
+/// only for what is left of it, so a client that stalls or trickles bytes
+/// is dropped instead of holding the single accept loop.  Returns false
+/// (no reply) on EOF before any byte or on the deadline.
 bool read_request(TcpConnection& conn, std::string& request) {
+  using Clock = std::chrono::steady_clock;
+  const auto deadline =
+      Clock::now() + std::chrono::milliseconds(AdminHttpServer::kRequestDeadlineMs);
   request.clear();
   std::byte b{};
   while (request.size() < kMaxRequestBytes) {
-    if (!conn.recv_all({&b, 1})) return !request.empty();
+    const auto left =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now()).count();
+    if (left <= 0) return false;
+    conn.set_recv_timeout_ms(static_cast<int>(left));
+    try {
+      if (!conn.recv_all({&b, 1})) return !request.empty();
+    } catch (const RpcError&) {
+      return false;  // the deadline passed inside the read
+    }
     request.push_back(static_cast<char>(b));
     if (request.size() >= 4 && request.ends_with("\r\n\r\n")) return true;
     if (request.size() >= 2 && request.ends_with("\n\n")) return true;

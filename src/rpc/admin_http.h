@@ -7,10 +7,12 @@
 //   /trace         span buffer as Chrome trace-event JSON (Perfetto)
 //   /flightrecord  flight recorder as JSONL (newest events)
 //
-// One accept thread, one connection at a time, bounded request read:
-// admin traffic is a human or a scraper, never the data path, so the
-// implementation favors smallness over throughput.  Binds 127.0.0.1 only
-// (via TcpListener), like the RPC plane.
+// One accept thread, one connection at a time, bounded request read (size
+// and time: a client that stalls mid-request is dropped at the deadline,
+// so it cannot block everyone else or stop()): admin traffic is a human or
+// a scraper, never the data path, so the implementation favors smallness
+// over throughput.  Binds 127.0.0.1 only (via TcpListener), like the RPC
+// plane.
 #pragma once
 
 #include <atomic>
@@ -29,6 +31,10 @@ class AdminHttpServer {
   /// Extra JSON fields ("\"k\":v,..." without braces) appended to /varz by
   /// the host; empty string adds nothing.
   using VarzFn = std::function<std::string()>;
+
+  /// Whole-request read deadline: a request that has not fully arrived
+  /// this long after accept is dropped without a reply.
+  static constexpr int kRequestDeadlineMs = 2000;
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral).  `telemetry` must outlive the
   /// server; it is read-snapshotted per request, never mutated.

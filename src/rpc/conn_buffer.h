@@ -1,4 +1,4 @@
-// Per-connection byte buffers for the event-driven reactors (DESIGN.md §6h/§6j).
+// Per-connection byte buffers for the event-driven reactor (DESIGN.md §6h/§6j).
 //
 // A non-blocking socket hands the reactor arbitrary byte chunks, so frame
 // boundaries no longer line up with read/write calls.  ReadBuffer
@@ -6,17 +6,16 @@
 // one readiness event can surface many frames (the batched-decode path) or
 // none (a partial frame waiting for its tail).  WriteBuffer queues encoded
 // reply frames and flushes as much as the socket accepts, leaving the rest
-// for the next EPOLLOUT (epoll backend) or send-CQE (io_uring backend).
+// for the next EPOLLOUT.
 //
-// The io_uring backend hands buffer pointers to the kernel and the op
-// completes asynchronously, so the bytes it references must not move while
-// the op is in flight.  WriteBuffer therefore keeps two vectors: `buf_`
-// accepts new frames (and may reallocate freely), while `staged_` holds the
-// bytes currently offered to the kernel and is never touched until
-// consume() retires them.  stage() promotes queued bytes into the staged
-// vector with a swap (zero copy when the staged side is empty).  The epoll
-// flush(fd) path is built on the same stage/consume pair so both backends
-// share one accounting model.
+// WriteBuffer keeps two vectors: `buf_` accepts new frames (and may
+// reallocate freely), while `staged_` holds the bytes currently offered to
+// the socket and is never touched until consume() retires them, so a span
+// returned by stage() stays valid while more frames queue.  stage()
+// promotes queued bytes into the staged vector with a swap (zero copy when
+// the staged side is empty).  flush(fd) is built on the same stage/consume
+// pair, which callers that write the staged span themselves (the
+// benchmark's load generators) also use.
 #pragma once
 
 #include <cstddef>
@@ -98,8 +97,8 @@ class ReadBuffer {
   std::size_t end_ = 0;    ///< one past the last received byte
 };
 
-/// Outbound frame queue with partial-write draining and a kernel-stable
-/// staged region for asynchronous (io_uring) sends.
+/// Outbound frame queue with partial-write draining and a pointer-stable
+/// staged region.
 class WriteBuffer {
  public:
   /// Encodes one frame onto the queue in place: reserves the header, runs
@@ -148,30 +147,29 @@ class WriteBuffer {
   /// contiguous unsent span.  The returned bytes are pointer-stable until
   /// consume() retires them — frame() appends go to the other vector.
   /// When the staged region still has unsent bytes, no promotion happens
-  /// (an async op may reference them); the remaining staged span is
+  /// (a caller may still hold the span); the remaining staged span is
   /// returned as-is.  Empty span means nothing to send.
   [[nodiscard]] std::span<const std::byte> stage();
 
   /// True when stage() would promote or there are already staged unsent
-  /// bytes — i.e. a send op should be (re)issued.
+  /// bytes — i.e. a send should be (re)issued.
   [[nodiscard]] bool has_unsent() const noexcept { return !empty(); }
 
-  /// Retires `n` bytes of the span last returned by stage() (the kernel
-  /// wrote them).  On full drain of the staged region, reclaims its
+  /// Retires `n` bytes of the span last returned by stage() (the socket
+  /// accepted them).  On full drain of the staged region, reclaims its
   /// capacity when it outgrew the retain threshold, so a burst does not
   /// pin its high-water allocation for the connection's lifetime.
   void consume(std::size_t n) noexcept;
 
   /// Writes to `fd` until the queue drains or the socket would block.
   /// Returns true when drained (the caller can disarm EPOLLOUT).  Throws
-  /// std::system_error on a hard write error.  Built on stage()/consume()
-  /// so epoll and io_uring share one accounting model; must not be mixed
-  /// with an in-flight async send on the same buffer.
+  /// std::system_error on a hard write error.  Built on stage()/consume(),
+  /// so it must not be mixed with a caller still holding a staged span.
   [[nodiscard]] bool flush(int fd);
 
  private:
   std::vector<std::byte> buf_;      ///< accepts new frames; may reallocate
-  std::vector<std::byte> staged_;   ///< offered to the kernel; pointer-stable
+  std::vector<std::byte> staged_;   ///< offered to the socket; pointer-stable
   std::size_t staged_pos_ = 0;      ///< first unsent byte within staged_
 };
 

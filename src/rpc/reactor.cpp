@@ -23,32 +23,30 @@ void ReactorConn::reset_batch() noexcept {
   batch_pos_ = 0;
 }
 
-// ---------------------------------------------------------------------------
-// ReactorBase: machinery shared by the epoll and io_uring backends.
-
-ReactorBase::ReactorBase(TcpListener& listener, FrameHandler on_frames,
-                         ProtocolErrorHandler on_protocol_error, ReactorConfig config,
-                         ReactorHooks hooks)
+Reactor::Reactor(TcpListener& listener, FrameHandler on_frames,
+                 ProtocolErrorHandler on_protocol_error, ReactorConfig config, ReactorHooks hooks)
     : listener_(&listener),
       on_frames_(std::move(on_frames)),
       on_protocol_error_(std::move(on_protocol_error)),
       config_(config),
       hooks_(std::move(hooks)) {}
 
-std::size_t ReactorBase::queued_bytes() const noexcept {
+Reactor::~Reactor() { stop(); }
+
+std::size_t Reactor::queued_bytes() const noexcept {
   std::size_t total = 0;
   for (const auto& q : worker_queued_) total += q.load(std::memory_order_relaxed);
   return total;
 }
 
-std::vector<std::size_t> ReactorBase::worker_connection_counts() const {
+std::vector<std::size_t> Reactor::worker_connection_counts() const {
   std::vector<std::size_t> counts;
   counts.reserve(worker_loads_.size());
   for (const auto& load : worker_loads_) counts.push_back(load.load(std::memory_order_relaxed));
   return counts;
 }
 
-std::size_t ReactorBase::pick_worker() {
+std::size_t Reactor::pick_worker() {
   // Only the acceptor thread picks, so a plain scan is race-free; the
   // loads themselves are atomics because workers decrement them on close.
   // Ties go to the highest-index worker: worker 0 also accepts, so it takes
@@ -67,7 +65,7 @@ std::size_t ReactorBase::pick_worker() {
   return best;
 }
 
-void ReactorBase::sync_queued(ReactorConn& conn) {
+void Reactor::sync_queued(ReactorConn& conn) {
   const std::size_t now = conn.out_.approx_bytes();
   if (now != conn.accounted_out_) {
     auto& agg = worker_queued_[conn.worker_idx_];
@@ -84,7 +82,7 @@ void ReactorBase::sync_queued(ReactorConn& conn) {
   }
 }
 
-bool ReactorBase::over_high_water(const ReactorConn& conn) const noexcept {
+bool Reactor::over_high_water(const ReactorConn& conn) const noexcept {
   if (config_.write_buffer_cap > 0 && conn.out_.approx_bytes() >= config_.write_buffer_cap) {
     return true;
   }
@@ -93,7 +91,7 @@ bool ReactorBase::over_high_water(const ReactorConn& conn) const noexcept {
              config_.worker_write_cap;
 }
 
-bool ReactorBase::under_low_water(const ReactorConn& conn) const noexcept {
+bool Reactor::under_low_water(const ReactorConn& conn) const noexcept {
   if (config_.write_buffer_cap > 0 && conn.out_.approx_bytes() > config_.write_buffer_cap / 2) {
     return false;
   }
@@ -102,13 +100,7 @@ bool ReactorBase::under_low_water(const ReactorConn& conn) const noexcept {
              config_.worker_write_cap / 2;
 }
 
-bool ReactorBase::aggregate_wants_sweep(std::size_t worker_idx) const noexcept {
-  return config_.worker_write_cap == 0 ||
-         worker_queued_[worker_idx].load(std::memory_order_relaxed) <=
-             config_.worker_write_cap / 2;
-}
-
-void ReactorBase::mark_paused(ReactorConn& conn) {
+void Reactor::mark_paused(ReactorConn& conn) {
   if (conn.paused_) return;
   conn.paused_ = true;
   paused_conns_.fetch_add(1, std::memory_order_relaxed);
@@ -116,16 +108,15 @@ void ReactorBase::mark_paused(ReactorConn& conn) {
   if (hooks_.on_pause) hooks_.on_pause(conn.fd(), conn.out_.approx_bytes());
 }
 
-void ReactorBase::mark_resumed(ReactorConn& conn) {
+void Reactor::mark_resumed(ReactorConn& conn) {
   if (!conn.paused_) return;
   conn.paused_ = false;
   paused_conns_.fetch_sub(1, std::memory_order_relaxed);
   if (hooks_.on_resume) hooks_.on_resume(conn.fd(), conn.out_.approx_bytes());
 }
 
-bool ReactorBase::decode_frames(ReactorConn& conn) {
+void Reactor::decode_frames(ReactorConn& conn) {
   const std::size_t before = conn.batch_len_;
-  bool ok = true;
   try {
     // Decode into the next slot; a slot is added only when every existing
     // one is live, so in steady state this allocates nothing.
@@ -140,14 +131,12 @@ bool ReactorBase::decode_frames(ReactorConn& conn) {
     conn.pending_error_ = e.what();
     conn.has_pending_error_ = true;
     conn.closing_ = true;
-    ok = false;
   }
   const std::size_t added = conn.batch_len_ - before;
   if (added > 0 && hooks_.on_decoded) hooks_.on_decoded(added);
-  return ok;
 }
 
-ReactorBase::ServeStatus ReactorBase::serve_batch(ReactorConn& conn) {
+bool Reactor::serve_batch(ReactorConn& conn) {
   while (conn.has_unserved()) {
     const std::span<Frame> rest(conn.batch_.data() + conn.batch_pos_,
                                 conn.batch_len_ - conn.batch_pos_);
@@ -163,7 +152,7 @@ ReactorBase::ServeStatus ReactorBase::serve_batch(ReactorConn& conn) {
       break;
     } catch (const std::exception&) {
       conn.reset_batch();
-      return ServeStatus::kError;
+      return false;
     }
     conn.batch_pos_ += std::min(consumed, rest.size());
     if (conn.closing_) {
@@ -173,7 +162,7 @@ ReactorBase::ServeStatus ReactorBase::serve_batch(ReactorConn& conn) {
     }
     if (consumed < rest.size()) {
       // Write queue at cap: keep the remainder for redispatch after drain.
-      return ServeStatus::kCapped;
+      return true;
     }
   }
   conn.reset_batch();
@@ -183,10 +172,22 @@ ReactorBase::ServeStatus ReactorBase::serve_batch(ReactorConn& conn) {
     conn.closing_ = true;
   }
   if (conn.eof_) conn.closing_ = true;
-  return ServeStatus::kDone;
+  return true;
 }
 
-void ReactorBase::conn_closed(ReactorConn& conn) {
+void Reactor::close_conn(Worker& worker, ReactorConn& conn) {
+  if (conn.dead_) return;
+  const int fd = conn.fd();
+  (void)::epoll_ctl(worker.epoll.get(), EPOLL_CTL_DEL, fd, nullptr);
+  conn.dead_ = true;
+  const auto it = worker.conns.find(fd);
+  if (it != worker.conns.end() && it->second.get() == &conn) {
+    // Park the object until the end of the round: the ready list may still
+    // hold a pointer to it (the dead_ flag skips it).
+    worker.graveyard.push_back(std::move(it->second));
+    worker.conns.erase(it);
+  }
+  conn.fd_.reset();
   const std::size_t dropped = conn.batch_len_ - conn.batch_pos_;
   if (dropped > 0 && hooks_.on_dropped) hooks_.on_dropped(dropped);
   conn.reset_batch();
@@ -207,16 +208,6 @@ void ReactorBase::conn_closed(ReactorConn& conn) {
   }
   stop_cv_.notify_all();
 }
-
-// ---------------------------------------------------------------------------
-// Reactor: the epoll backend.
-
-Reactor::Reactor(TcpListener& listener, FrameHandler on_frames,
-                 ProtocolErrorHandler on_protocol_error, ReactorConfig config, ReactorHooks hooks)
-    : ReactorBase(listener, std::move(on_frames), std::move(on_protocol_error), config,
-                  std::move(hooks)) {}
-
-Reactor::~Reactor() { stop(); }
 
 void Reactor::start() {
   if (started_) return;
@@ -373,22 +364,6 @@ void Reactor::adopt_pending(Worker& worker) {
   }
 }
 
-void Reactor::close_conn(Worker& worker, ReactorConn& conn) {
-  if (conn.dead_) return;
-  const int fd = conn.fd();
-  (void)::epoll_ctl(worker.epoll.get(), EPOLL_CTL_DEL, fd, nullptr);
-  conn.dead_ = true;
-  const auto it = worker.conns.find(fd);
-  if (it != worker.conns.end() && it->second.get() == &conn) {
-    // Park the object until the end of the round: the ready list may still
-    // hold a pointer to it (the dead_ flag skips it).
-    worker.graveyard.push_back(std::move(it->second));
-    worker.conns.erase(it);
-  }
-  conn.fd_.reset();
-  conn_closed(conn);
-}
-
 void Reactor::conn_failure(Worker& worker, ReactorConn& conn) {
   if (hooks_.on_conn_error) hooks_.on_conn_error();
   close_conn(worker, conn);
@@ -436,7 +411,7 @@ void Reactor::finish_io(Worker& worker, ReactorConn& conn) {
 }
 
 void Reactor::dispatch(Worker& worker, ReactorConn& conn) {
-  if (serve_batch(conn) == ServeStatus::kError) {
+  if (!serve_batch(conn)) {
     conn_failure(worker, conn);
     return;
   }
@@ -468,7 +443,12 @@ void Reactor::maybe_resume(Worker& worker, ReactorConn& conn) {
 }
 
 void Reactor::sweep_paused(Worker& worker) {
-  if (worker.agg_paused_fds.empty() || !aggregate_wants_sweep(worker.index)) return;
+  if (worker.agg_paused_fds.empty()) return;
+  if (config_.worker_write_cap > 0 &&
+      worker_queued_[worker.index].load(std::memory_order_relaxed) >
+          config_.worker_write_cap / 2) {
+    return;
+  }
   // Swap the list out: maybe_resume can re-list a still-stuck connection
   // (via list_for_sweep) while we iterate.
   std::vector<int> current;
@@ -490,7 +470,7 @@ void Reactor::read_and_decode(Worker& worker, ReactorConn& conn) {
   const ssize_t r = ::recv(conn.fd(), dst.data(), dst.size(), 0);
   if (r > 0) {
     conn.in_.commit(static_cast<std::size_t>(r));
-    (void)decode_frames(conn);
+    decode_frames(conn);
     return;
   }
   if (r == 0) {

@@ -1,15 +1,12 @@
-// Event-driven connection reactors (DESIGN.md §6h, §6j): the epoll backend
-// and the shared machinery it splits with the io_uring backend
-// (uring_reactor.h).
+// Event-driven connection reactor (DESIGN.md §6h, §6j) on epoll.
 //
-// A small fixed pool of event-loop workers each owns an event instance
-// (epoll fd or io_uring ring); accepted connections are pinned at accept
-// time to the worker with the fewest live connections and stay pinned for
-// their whole life, so every connection's reads, handler calls, and writes
-// happen on exactly one thread and per-connection state needs no locking.
-// Worker 0 additionally owns the (non-blocking) listener, so pinning breaks
-// ties away from it: worker 0 takes a connection only when it is strictly
-// the least loaded.
+// A small fixed pool of event-loop workers each owns an epoll instance;
+// accepted connections are pinned at accept time to the worker with the
+// fewest live connections and stay pinned for their whole life, so every
+// connection's reads, handler calls, and writes happen on exactly one
+// thread and per-connection state needs no locking.  Worker 0 additionally
+// owns the (non-blocking) listener, so pinning breaks ties away from it:
+// worker 0 takes a connection only when it is strictly the least loaded.
 //
 // Each wakeup runs two phases over the ready set:
 //   1. drain: recv into every readable connection's ReadBuffer and decode
@@ -23,12 +20,11 @@
 // Backpressure: when a connection's queued reply bytes reach
 // `write_buffer_cap` (or the worker's aggregate reaches
 // `worker_write_cap`), the reactor pauses the connection — read interest is
-// disarmed (epoll) or the recv is not resubmitted (io_uring), and the frame
-// handler may stop mid-batch by returning a partial consumed count; the
-// remainder is redispatched once the socket drains below the low-water
-// mark (half the cap).  The queue can still overshoot the cap by at most
-// one reply frame, because the cap is checked between frames, never
-// mid-frame.
+// disarmed, and the frame handler may stop mid-batch by returning a
+// partial consumed count; the remainder is redispatched once the socket
+// drains below the low-water mark (half the cap).  The queue can still
+// overshoot the cap by at most one reply frame, because the cap is checked
+// between frames, never mid-frame.
 //
 // stop() drains gracefully: deregister the listener, keep serving until
 // every connection closes or drain_timeout_ms passes, then force-close the
@@ -54,8 +50,6 @@
 namespace via {
 
 class Reactor;
-class UringReactor;
-class ReactorBase;
 enum class MsgType : std::uint8_t;  // rpc/messages.h
 
 /// One reactor-owned client connection.  Frame handlers interact with it
@@ -103,8 +97,6 @@ class ReactorConn {
 
  private:
   friend class Reactor;
-  friend class UringReactor;
-  friend class ReactorBase;
   explicit ReactorConn(FdHandle fd) noexcept : fd_(std::move(fd)) {}
 
   /// Decoded frames not yet consumed by the handler (a kept remainder
@@ -133,12 +125,7 @@ class ReactorConn {
   bool dead_ = false;            ///< closed this round; object parked in the graveyard
   bool paused_ = false;          ///< read interest withheld by backpressure
   bool agg_listed_ = false;      ///< on the worker's aggregate sweep list
-  std::uint32_t interest_ = 0;   ///< epoll event mask currently registered (epoll backend)
-  // io_uring backend bookkeeping (unused by epoll):
-  std::uint32_t gen_ = 0;        ///< generation tag carried in op user_data
-  int inflight_ops_ = 0;         ///< kernel ops referencing this conn's buffers
-  bool recv_armed_ = false;      ///< a recv op is in flight
-  bool send_armed_ = false;      ///< a send op is in flight
+  std::uint32_t interest_ = 0;   ///< epoll event mask currently registered
 };
 
 struct ReactorConfig {
@@ -177,10 +164,10 @@ struct ReactorHooks {
   std::function<void(int fd, std::size_t queued)> on_resume;
 };
 
-/// Machinery shared by the epoll and io_uring backends: configuration,
-/// dispatch with partial consumption, least-connections pinning, and the
-/// backpressure/stat accounting.  Backends implement the event loop.
-class ReactorBase {
+/// The epoll reactor (DESIGN.md §6h): listener, worker pool, dispatch
+/// with partial consumption, least-connections pinning, and the
+/// backpressure/stat accounting.
+class Reactor {
  public:
   /// Invoked with the not-yet-consumed suffix of a connection's decoded
   /// batch; returns how many frames it consumed (replies go through
@@ -195,16 +182,20 @@ class ReactorBase {
   /// closes the connection after flushing it.
   using ProtocolErrorHandler = std::function<void(ReactorConn&, const ProtocolError&)>;
 
-  virtual ~ReactorBase() = default;
+  /// The listener must outlive the reactor; start() switches it (and every
+  /// accepted connection) to non-blocking mode.
+  Reactor(TcpListener& listener, FrameHandler on_frames, ProtocolErrorHandler on_protocol_error,
+          ReactorConfig config = {}, ReactorHooks hooks = {});
+  ~Reactor();
 
-  ReactorBase(const ReactorBase&) = delete;
-  ReactorBase& operator=(const ReactorBase&) = delete;
+  Reactor(const Reactor&) = delete;
+  Reactor& operator=(const Reactor&) = delete;
 
-  virtual void start() = 0;
+  void start();
   /// Graceful drain (idempotent): stop accepting, serve until every
   /// connection closes or drain_timeout_ms passes, force-close the rest,
   /// join the workers.
-  virtual void stop() = 0;
+  void stop();
 
   /// Live connections across all workers.
   [[nodiscard]] std::size_t connection_count() const noexcept {
@@ -228,92 +219,6 @@ class ReactorBase {
   /// Live connections per worker (least-connections pinning visibility).
   [[nodiscard]] std::vector<std::size_t> worker_connection_counts() const;
 
- protected:
-  ReactorBase(TcpListener& listener, FrameHandler on_frames,
-              ProtocolErrorHandler on_protocol_error, ReactorConfig config, ReactorHooks hooks);
-
-  enum class ServeStatus {
-    kDone,     ///< batch fully consumed (conn may still be closing)
-    kCapped,   ///< handler stopped early: write queue at cap, remainder kept
-    kError,    ///< handler threw a non-protocol exception: fail the conn
-  };
-
-  /// Drives on_frames_ over the connection's batch remainder, honoring
-  /// partial consumption, then reports pending protocol errors and turns
-  /// EOF into closing.  Does not touch sockets.
-  ServeStatus serve_batch(ReactorConn& conn);
-
-  /// Decodes every complete frame buffered in conn.in_ into conn.batch_
-  /// and fires on_decoded.  Returns false when decode hit a ProtocolError
-  /// (conn is flagged closing with the error pending).
-  bool decode_frames(ReactorConn& conn);
-
-  /// Least-connections worker pick; increments the winner's load (the
-  /// connection must then be pinned there; undo via conn_closed).
-  std::size_t pick_worker();
-
-  /// Re-charges the worker aggregate with the connection's current write
-  /// queue depth and tracks the per-connection peak.
-  void sync_queued(ReactorConn& conn);
-
-  /// True when the connection (or its worker's aggregate) is at/over cap.
-  [[nodiscard]] bool over_high_water(const ReactorConn& conn) const noexcept;
-  /// True when both the connection and its worker are back under the
-  /// low-water mark (half the respective caps).
-  [[nodiscard]] bool under_low_water(const ReactorConn& conn) const noexcept;
-
-  void mark_paused(ReactorConn& conn);
-  void mark_resumed(ReactorConn& conn);
-
-  /// Shared close-side bookkeeping: drops unserved frames (on_dropped),
-  /// resumes pause accounting, uncharges the aggregate, decrements the
-  /// worker load and the global count, and signals stop().
-  void conn_closed(ReactorConn& conn);
-
-  /// True when the worker's aggregate just fell back under low water while
-  /// some of its connections are paused — the backend should sweep them.
-  [[nodiscard]] bool aggregate_wants_sweep(std::size_t worker_idx) const noexcept;
-
-  TcpListener* listener_;
-  FrameHandler on_frames_;
-  ProtocolErrorHandler on_protocol_error_;
-  ReactorConfig config_;
-  ReactorHooks hooks_;
-
-  std::atomic<std::size_t> conn_count_{0};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> force_close_{false};
-  std::atomic<bool> stopping_{false};
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;  ///< signaled as connections close
-  bool started_ = false;
-
-  /// Per-worker live-connection counters (least-connections pinning) and
-  /// queued-reply aggregates; sized by start().
-  std::vector<std::atomic<std::size_t>> worker_loads_;
-  std::vector<std::atomic<std::size_t>> worker_queued_;
-
- private:
-  std::atomic<std::size_t> paused_conns_{0};
-  std::atomic<std::uint64_t> pauses_total_{0};
-  std::atomic<std::size_t> peak_conn_queued_{0};
-};
-
-/// The epoll backend (DESIGN.md §6h).
-class Reactor : public ReactorBase {
- public:
-  using FrameHandler = ReactorBase::FrameHandler;
-  using ProtocolErrorHandler = ReactorBase::ProtocolErrorHandler;
-
-  /// The listener must outlive the reactor; start() switches it (and every
-  /// accepted connection) to non-blocking mode.
-  Reactor(TcpListener& listener, FrameHandler on_frames, ProtocolErrorHandler on_protocol_error,
-          ReactorConfig config = {}, ReactorHooks hooks = {});
-  ~Reactor() override;
-
-  void start() override;
-  void stop() override;
-
  private:
   struct Worker {
     FdHandle epoll;
@@ -336,12 +241,35 @@ class Reactor : public ReactorBase {
   void accept_ready(Worker& worker);
   void adopt_pending(Worker& worker);
   void register_conn(Worker& worker, int fd);
+  /// Least-connections worker pick; increments the winner's load (the
+  /// connection must then be pinned there; undone when it closes).
+  std::size_t pick_worker();
   void read_and_decode(Worker& worker, ReactorConn& conn);
+  /// Decodes every complete frame buffered in conn.in_ into conn.batch_
+  /// and fires on_decoded.  A ProtocolError flags the connection closing
+  /// with the error pending.
+  void decode_frames(ReactorConn& conn);
+  /// Drives on_frames_ over the connection's batch remainder, honoring
+  /// partial consumption (a handler that stops early at the write cap
+  /// leaves the remainder kept), then reports pending protocol errors and
+  /// turns EOF into closing.  Does not touch sockets.  Returns false when
+  /// the handler threw a non-protocol exception: fail the connection.
+  bool serve_batch(ReactorConn& conn);
   void dispatch(Worker& worker, ReactorConn& conn);
   /// Flushes pending output, arms/disarms EPOLLOUT, applies backpressure
   /// pause/resume, and closes the connection when a requested close has
   /// fully flushed.
   void finish_io(Worker& worker, ReactorConn& conn);
+  /// Re-charges the worker aggregate with the connection's current write
+  /// queue depth and tracks the per-connection peak.
+  void sync_queued(ReactorConn& conn);
+  /// True when the connection (or its worker's aggregate) is at/over cap.
+  [[nodiscard]] bool over_high_water(const ReactorConn& conn) const noexcept;
+  /// True when both the connection and its worker are back under the
+  /// low-water mark (half the respective caps).
+  [[nodiscard]] bool under_low_water(const ReactorConn& conn) const noexcept;
+  void mark_paused(ReactorConn& conn);
+  void mark_resumed(ReactorConn& conn);
   /// Resumes one paused connection when it is back under low water,
   /// redispatching its kept batch remainder (which may re-pause it).
   void maybe_resume(Worker& worker, ReactorConn& conn);
@@ -352,10 +280,36 @@ class Reactor : public ReactorBase {
   /// (deduplicated): with no bytes in flight there is no EPOLLOUT coming,
   /// so only the sweep can resume it once the aggregate drains.
   void list_for_sweep(Worker& worker, ReactorConn& conn);
+  /// Deregisters and parks the connection, then settles its bookkeeping:
+  /// drops unserved frames (on_dropped), clears its pause, uncharges the
+  /// aggregate, decrements the worker load and the global count, and
+  /// signals stop().
   void close_conn(Worker& worker, ReactorConn& conn);
   void update_interest(Worker& worker, ReactorConn& conn, bool want_write);
   void conn_failure(Worker& worker, ReactorConn& conn);
   void wake_all();
+
+  TcpListener* listener_;
+  FrameHandler on_frames_;
+  ProtocolErrorHandler on_protocol_error_;
+  ReactorConfig config_;
+  ReactorHooks hooks_;
+
+  std::atomic<std::size_t> conn_count_{0};
+  std::atomic<bool> draining_{false};
+  std::atomic<bool> force_close_{false};
+  std::atomic<bool> stopping_{false};
+  std::mutex stop_mutex_;
+  std::condition_variable stop_cv_;  ///< signaled as connections close
+  bool started_ = false;
+
+  /// Per-worker live-connection counters (least-connections pinning) and
+  /// queued-reply aggregates; sized by start().
+  std::vector<std::atomic<std::size_t>> worker_loads_;
+  std::vector<std::atomic<std::size_t>> worker_queued_;
+  std::atomic<std::size_t> paused_conns_{0};
+  std::atomic<std::uint64_t> pauses_total_{0};
+  std::atomic<std::size_t> peak_conn_queued_{0};
 
   std::vector<std::unique_ptr<Worker>> workers_;
 };

@@ -12,8 +12,6 @@
 #include "obs/export.h"
 #include "obs/span.h"
 #include "rpc/decide_scratch.h"
-#include "rpc/reactor.h"
-#include "rpc/uring_reactor.h"
 #include "util/rng.h"
 
 namespace via {
@@ -86,6 +84,15 @@ CallContext call_context(const DecisionRequest& req) {
 
 /// Counter increment for a byte count.
 std::int64_t bytes(std::size_t n) { return static_cast<std::int64_t>(n); }
+
+ReactorConfig reactor_config(const ServerConfig& config) {
+  ReactorConfig rconfig;
+  rconfig.workers = config.reactor_threads;
+  rconfig.drain_timeout_ms = config.drain_timeout_ms;
+  rconfig.write_buffer_cap = config.write_buffer_cap;
+  rconfig.worker_write_cap = config.worker_write_cap;
+  return rconfig;
+}
 }  // namespace
 
 ControllerServer::ControllerServer(RoutingPolicy& policy, std::uint16_t port, ServerConfig config)
@@ -109,7 +116,6 @@ ControllerServer::ControllerServer(RoutingPolicy& policy, std::uint16_t port, Se
       tel_bp_paused_(&telemetry_.registry.gauge("rpc.server.backpressure.paused_conns")),
       tel_bp_pauses_(&telemetry_.registry.counter("rpc.server.backpressure.paused_total")),
       tel_bp_queued_(&telemetry_.registry.gauge("rpc.server.backpressure.bytes_queued")),
-      tel_uring_fallbacks_(&telemetry_.registry.counter("rpc.server.uring_fallbacks")),
       tel_pings_(&telemetry_.registry.counter("rpc.server.pings")),
       tel_gossip_updates_(&telemetry_.registry.counter("rpc.server.gossip_updates")),
       tel_request_us_(
@@ -121,6 +127,13 @@ ControllerServer::ControllerServer(RoutingPolicy& policy, std::uint16_t port, Se
       flight_(telemetry_.flight_if_enabled()),
       policy_concurrent_(policy.concurrent_safe()),
       listener_(port),
+      reactor_(
+          listener_,
+          [this](ReactorConn& conn, std::span<Frame> frames) {
+            return handle_reactor_frames(conn, frames);
+          },
+          [this](ReactorConn& conn, const ProtocolError& e) { send_protocol_error(conn, 0, e); },
+          reactor_config(config), reactor_hooks()),
       timeseries_recorder_(&telemetry_.registry,
                            static_cast<double>(config.timeseries_window_ms) / 1000.0) {
   if (config_.reactor_threads < 1) {
@@ -144,24 +157,10 @@ void ControllerServer::start() {
     }
     timeseries_thread_ = std::thread([this] { timeseries_loop(); });
   }
-  // Backend resolution (§6j): kUring degrades to epoll when the kernel
-  // can't run it, with a counter and a flight note so the fallback is
-  // observable.
-  ServingBackend want = config_.backend;
-  if (want == ServingBackend::kUring && !UringReactor::supported()) {
-    tel_uring_fallbacks_->inc();
-    if (flight_ != nullptr) {
-      flight_->record(obs::FlightEventKind::Note,
-                      "io_uring backend unsupported on this kernel; serving via epoll");
-    }
-    want = ServingBackend::kEpoll;
-  }
-  active_backend_ = want;
-  ReactorConfig rconfig;
-  rconfig.workers = config_.reactor_threads;
-  rconfig.drain_timeout_ms = config_.drain_timeout_ms;
-  rconfig.write_buffer_cap = config_.write_buffer_cap;
-  rconfig.worker_write_cap = config_.worker_write_cap;
+  reactor_.start();
+}
+
+ReactorHooks ControllerServer::reactor_hooks() {
   ReactorHooks hooks;
   hooks.on_accept = [this] { tel_accepted_->inc(); };
   // Decoded-but-unanswered frames count as inflight (§6h): charging them
@@ -185,53 +184,42 @@ void ControllerServer::start() {
   hooks.on_conn_error = [this] { tel_conn_errors_->inc(); };
   hooks.on_pause = [this](int fd, std::size_t queued) {
     tel_bp_pauses_->inc();
-    tel_bp_paused_->set(static_cast<double>(reactor_->paused_connections()));
-    tel_bp_queued_->set(static_cast<double>(reactor_->queued_bytes()));
+    tel_bp_paused_->set(static_cast<double>(reactor_.paused_connections()));
+    tel_bp_queued_->set(static_cast<double>(reactor_.queued_bytes()));
     if (flight_ != nullptr) {
       flight_->record(obs::FlightEventKind::BackpressurePause, "write queue over cap", fd,
                       static_cast<std::int64_t>(queued));
     }
   };
   hooks.on_resume = [this](int fd, std::size_t queued) {
-    tel_bp_paused_->set(static_cast<double>(reactor_->paused_connections()));
-    tel_bp_queued_->set(static_cast<double>(reactor_->queued_bytes()));
+    tel_bp_paused_->set(static_cast<double>(reactor_.paused_connections()));
+    tel_bp_queued_->set(static_cast<double>(reactor_.queued_bytes()));
     if (flight_ != nullptr) {
       flight_->record(obs::FlightEventKind::BackpressureResume, "write queue drained", fd,
                       static_cast<std::int64_t>(queued));
     }
   };
-  auto on_frames = [this](ReactorConn& conn, std::span<Frame> frames) {
-    return handle_reactor_frames(conn, frames);
-  };
-  auto on_error = [this](ReactorConn& conn, const ProtocolError& e) {
-    send_protocol_error(conn, 0, e);
-  };
-  if (want == ServingBackend::kUring) {
-    reactor_ = std::make_unique<UringReactor>(listener_, on_frames, on_error, rconfig, hooks);
-  } else {
-    reactor_ = std::make_unique<Reactor>(listener_, on_frames, on_error, rconfig, hooks);
-  }
-  reactor_->start();
+  return hooks;
 }
 
 std::size_t ControllerServer::backpressure_paused_conns() const noexcept {
-  return reactor_ != nullptr ? reactor_->paused_connections() : 0;
+  return reactor_.paused_connections();
 }
 
 std::uint64_t ControllerServer::backpressure_pauses_total() const noexcept {
-  return reactor_ != nullptr ? reactor_->pauses_total() : 0;
+  return reactor_.pauses_total();
 }
 
 std::size_t ControllerServer::backpressure_queued_bytes() const noexcept {
-  return reactor_ != nullptr ? reactor_->queued_bytes() : 0;
+  return reactor_.queued_bytes();
 }
 
 std::size_t ControllerServer::peak_conn_queued_bytes() const noexcept {
-  return reactor_ != nullptr ? reactor_->peak_conn_queued_bytes() : 0;
+  return reactor_.peak_conn_queued_bytes();
 }
 
 std::vector<std::size_t> ControllerServer::reactor_worker_connections() const {
-  return reactor_ != nullptr ? reactor_->worker_connection_counts() : std::vector<std::size_t>{};
+  return reactor_.worker_connection_counts();
 }
 
 void ControllerServer::timeseries_loop() {
@@ -259,7 +247,7 @@ obs::TimeSeries ControllerServer::timeseries() const {
 
 void ControllerServer::stop() {
   if (!running_.exchange(false)) return;
-  if (reactor_ != nullptr) reactor_->stop();
+  reactor_.stop();
   ::shutdown(listener_.fd(), SHUT_RDWR);
   {
     const std::lock_guard lock(timeseries_mutex_);
@@ -288,7 +276,7 @@ bool ControllerServer::run_refresh(TimeSec now) {
 }
 
 std::size_t ControllerServer::active_handlers() const {
-  return reactor_ != nullptr ? reactor_->connection_count() : 0;
+  return reactor_.connection_count();
 }
 
 bool ControllerServer::note_report_seen(const Observation& obs) {

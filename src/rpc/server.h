@@ -1,9 +1,9 @@
 // Controller server: hosts a RoutingPolicy behind the TCP protocol.  All
-// connections are served by an event-driven reactor (§6h, §6j) — a small
-// epoll or io_uring worker pool with per-connection buffers and
-// incremental frame decode; runs of DecisionRequests decoded from one
-// readiness event are answered through RoutingPolicy::choose_batch under a
-// single policy-lock acquire.  The policy sits behind a reader-writer lock:
+// connections are served by the event-driven epoll reactor (§6h, §6j) — a
+// small worker pool with per-connection buffers and incremental frame
+// decode; runs of DecisionRequests decoded from one readiness event are
+// answered through RoutingPolicy::choose_batch under a single policy-lock
+// acquire.  The policy sits behind a reader-writer lock:
 // when the policy declares itself concurrent-safe (ViaPolicy does — see
 // RoutingPolicy::concurrent_safe()), decision and report handlers take the
 // lock shared, so clients are served in parallel.
@@ -38,20 +38,22 @@
 #include "obs/timeseries.h"
 #include "obs/timer.h"
 #include "rpc/messages.h"
+#include "rpc/reactor.h"
 #include "rpc/socket.h"
 
 namespace via {
 
-/// Serving backend (§6h, §6j): the two event-driven reactors behind one
-/// dispatch path.  The numeric values are stable (parameterized test names
-/// print them).
+/// Serving backend (§6h, §6j).  The epoll reactor is the only one, so this
+/// has a single value; it, ServerConfig::backend, serving_backend() and
+/// serving_backend_name() stay only because the controller benchmark
+/// (ctlbench/, frozen with its metrics) compiles against them.  A change to
+/// the benchmark may remove all four.
 enum class ServingBackend : std::uint8_t {
   kEpoll = 1,
-  kUring = 2,
 };
 
-[[nodiscard]] constexpr const char* serving_backend_name(ServingBackend b) noexcept {
-  return b == ServingBackend::kUring ? "uring" : "epoll";
+[[nodiscard]] constexpr const char* serving_backend_name(ServingBackend) noexcept {
+  return "epoll";
 }
 
 /// Robustness knobs (DESIGN.md §6f).  Shedding is off by default; dedup is
@@ -91,14 +93,11 @@ struct ServerConfig {
   /// std::invalid_argument otherwise.
   int reactor_threads = 2;
 
-  /// Which serving backend to run (§6j).  kUring falls back to epoll at
-  /// start() when the kernel lacks io_uring (serving_backend() reports
-  /// what actually runs).
+  /// Always kEpoll; kept for the benchmark's sake (see ServingBackend).
   ServingBackend backend = ServingBackend::kEpoll;
-  /// Per-connection queued-reply byte cap for the event-driven backends
-  /// (0 disables backpressure): a connection at the cap stops being read
-  /// until its socket drains below half the cap.  The queue can overshoot
-  /// by at most one reply frame.
+  /// Per-connection queued-reply byte cap (0 disables backpressure): a
+  /// connection at the cap stops being read until its socket drains below
+  /// half the cap.  The queue can overshoot by at most one reply frame.
   std::size_t write_buffer_cap = 4 * 1024 * 1024;
   /// Aggregate queued-reply cap per reactor worker (0 disables); bounds
   /// total reply RSS when many connections stall at once.
@@ -111,10 +110,6 @@ struct ServerConfig {
   std::uint32_t replica_id = 0;
   std::uint64_t ring_epoch = 0;
 };
-
-class ReactorBase;
-class ReactorConn;
-struct Frame;
 
 class ControllerServer {
  public:
@@ -151,9 +146,8 @@ class ControllerServer {
   /// Live client connections; for tests and diagnostics.
   [[nodiscard]] std::size_t active_handlers() const;
 
-  /// Backend actually serving after start(): reflects the epoll fallback
-  /// when kUring was requested on a kernel without io_uring.
-  [[nodiscard]] ServingBackend serving_backend() const noexcept { return active_backend_; }
+  /// Always kEpoll; kept for the benchmark's sake (see ServingBackend).
+  [[nodiscard]] ServingBackend serving_backend() const noexcept { return ServingBackend::kEpoll; }
 
   /// Backpressure observability (§6j); all zero before start().
   [[nodiscard]] std::size_t backpressure_paused_conns() const noexcept;
@@ -205,6 +199,8 @@ class ControllerServer {
   void send_protocol_error(ReactorConn& conn, std::uint8_t frame_type, const ProtocolError& e);
   /// Settles inflight accounting for `n` requests decoded by the reactor.
   void note_requests_done(std::size_t n);
+  /// The reactor callbacks: telemetry, inflight accounting, flight notes.
+  [[nodiscard]] ReactorHooks reactor_hooks();
   /// Records an observation's idempotency key; returns false when the key
   /// is already in the dedup window (a retried Report).
   [[nodiscard]] bool note_report_seen(const Observation& obs);
@@ -237,8 +233,6 @@ class ControllerServer {
   obs::Gauge* tel_bp_paused_;
   obs::Counter* tel_bp_pauses_;
   obs::Gauge* tel_bp_queued_;
-  /// kUring requested but unsupported: the start()-time epoll fallback.
-  obs::Counter* tel_uring_fallbacks_;
   /// Federation plane (§6k): liveness probes answered and gossip updates
   /// received.
   obs::Counter* tel_pings_;
@@ -264,10 +258,9 @@ class ControllerServer {
   const bool policy_concurrent_;
 
   TcpListener listener_;
-  /// Built fresh on each start() for the selected backend, stopped (and
-  /// kept for inspection) on stop().
-  std::unique_ptr<ReactorBase> reactor_;
-  ServingBackend active_backend_ = ServingBackend::kEpoll;
+  /// Serves listener_ between start() and stop(); its stats stay readable
+  /// after stop().
+  Reactor reactor_;
 
   /// Report idempotency window (§6f): set for O(1) lookup, FIFO for
   /// eviction.  Guarded by dedup_mutex_.

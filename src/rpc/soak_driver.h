@@ -1,4 +1,4 @@
-// Out-of-process soak client for the event-driven serving backends
+// Out-of-process soak client for the epoll serving reactor
 // (DESIGN.md §6j).  A soak at 10k connections needs the client-side fds
 // in a *different* process than the server under test: with both ends in
 // one process, 10240 server fds + 10240 client fds blow straight through

@@ -29,7 +29,6 @@
 #include "rpc/server.h"
 #include "rpc/soak_driver.h"
 #include "rpc/socket.h"
-#include "rpc/uring_reactor.h"
 
 VIA_REGISTER_FLIGHT_DUMP("test_chaos");
 
@@ -538,33 +537,22 @@ TEST(Chaos, ReactorThousandConnectionSoakLosesNoObservations) {
 
 // ------------------------------------------------ 10k-connection soak (§6j)
 
-class SoakBackend : public ::testing::TestWithParam<ServingBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == ServingBackend::kUring && !UringReactor::supported()) {
-      GTEST_SKIP() << "io_uring unsupported on this kernel; epoll variant covers the seam";
-    }
-    // The server side alone holds ~10k sockets; lift the soft fd limit to
-    // the hard cap before accepting the storm.
-    raise_fd_limit();
-  }
-};
-
-/// Acceptance (§6j): a 10,000-connection pipelined soak against each
-/// event-driven backend.  The client half runs in a child process (two
+/// Acceptance (§6j): a 10,000-connection pipelined soak against the
+/// reactor.  The client half runs in a child process (two
 /// processes' worth of fd budget — neither side can hold all 20k sockets
 /// alone), reports mode, every observation id distinct.  The server must
 /// deliver every observation to the policy exactly once (zero lost),
 /// keep every connection's write queue under the configured cap, and
 /// drain cleanly at stop() — no forced closes.
-TEST_P(SoakBackend, TenThousandConnectionSoakLosesNoObservations) {
+TEST(Chaos, TenThousandConnectionSoakLosesNoObservations) {
+  // The server side alone holds ~10k sockets; lift the soft fd limit to
+  // the hard cap before accepting the storm.
+  raise_fd_limit();
   CountingPolicy policy(1);
   ServerConfig cfg;
-  cfg.backend = GetParam();
   cfg.reactor_threads = 2;
   ControllerServer server(policy, 0, cfg);
   server.start();
-  ASSERT_EQ(server.serving_backend(), GetParam());
 
   SoakConfig soak;
   soak.port = server.port();
@@ -602,12 +590,6 @@ TEST_P(SoakBackend, TenThousandConnectionSoakLosesNoObservations) {
   EXPECT_EQ(
       server.telemetry().registry.counter("rpc.server.drain_forced_closes").value(), 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, SoakBackend,
-                         ::testing::Values(ServingBackend::kEpoll, ServingBackend::kUring),
-                         [](const ::testing::TestParamInfo<ServingBackend>& info) {
-                           return std::string(serving_backend_name(info.param));
-                         });
 
 // ------------------------------------- fault injection under partial writes
 

@@ -1,9 +1,8 @@
 // Per-connection buffer tests (DESIGN.md §6h/§6j): the incremental frame
-// peel and the staged write queue are the seam both event-driven backends
-// (epoll and io_uring) share, so their edge cases — frames split across
-// 1-byte reads, EAGAIN mid-frame flushes, stage/consume pointer
-// stability, capacity reclaim after a burst — are pinned here without a
-// reactor in the loop.
+// peel and the staged write queue under the epoll reactor, so their edge
+// cases — frames split across 1-byte reads, EAGAIN mid-frame flushes,
+// stage/consume pointer stability, capacity reclaim after a burst — are
+// pinned here without a reactor in the loop.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>

@@ -14,7 +14,7 @@
 //   - chaos suites on an in-process fleet: kill 1 of 3 (re-homing, zero
 //     lost observations, flight narrative in seq order), probation under
 //     flap, full-controller outage with direct fallback and recovery, and
-//     client reconnect-after-reset against the io_uring backend.
+//     client reconnect-after-reset.
 // This file runs under ASan+UBSan and TSan in CI (tools/ci.sh).
 #include <gtest/gtest.h>
 
@@ -42,7 +42,6 @@
 #include "rpc/framing.h"
 #include "rpc/messages.h"
 #include "rpc/server.h"
-#include "rpc/uring_reactor.h"
 
 VIA_REGISTER_FLIGHT_DUMP("test_federation");
 
@@ -899,19 +898,14 @@ TEST_F(FederationChaosTest, GossipOverRpcPoolsSegmentsAcrossReplicas) {
   EXPECT_TRUE(snap1->predictor().tomography().predict_lin(1, 2, bounce_, mean, sem));
 }
 
-/// Reconnect-after-reset against the io_uring backend: a client whose
-/// connection died with the server must transparently reconnect and
-/// succeed once the server is back on the same port.
-TEST_F(FederationChaosTest, UringBackendClientReconnectsAfterReset) {
-  if (!UringReactor::supported()) {
-    GTEST_SKIP() << "io_uring unsupported on this kernel";
-  }
+/// Reconnect-after-reset: a client whose connection died with the server
+/// must transparently reconnect and succeed once the server is back on
+/// the same port.
+TEST_F(FederationChaosTest, ClientReconnectsAfterReset) {
   FedFleetConfig cfg = fleet_config(1);
-  cfg.server.backend = ServingBackend::kUring;
   cfg.server.reactor_threads = 1;
   FedFleet fleet(options_, backbone_, cfg);
   fleet.start();
-  ASSERT_EQ(fleet.server(0).serving_backend(), ServingBackend::kUring);
 
   ClientConfig cc;
   cc.request_timeout_ms = 500;

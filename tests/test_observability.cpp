@@ -3,10 +3,15 @@
 // (bounded ring, JSONL round-trip, the chaos error→retry→quarantine→
 // fallback narrative), windowed time series (unit + engine + server
 // ticker), the GetTrace/GetFlightRecord RPCs, and the admin HTTP plane
-// (/metrics, /healthz, /varz).
+// (/metrics, /healthz, /varz, and the request deadline that keeps one
+// stalled admin client from blocking the rest).
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <map>
@@ -754,15 +759,17 @@ TEST(RpcObservability, GetFlightRecordReturnsParseableCappedJsonl) {
 }
 
 /// Minimal HTTP GET against the admin sidecar: sends the request, reads to
-/// EOF, splits status line / headers / body.
+/// EOF, splits status line / headers / body.  A positive `timeout_ms`
+/// bounds each read (RpcError on expiry).
 struct HttpResponse {
   std::string status_line;
   std::string headers;
   std::string body;
 };
 
-HttpResponse http_get(std::uint16_t port, const std::string& path) {
+HttpResponse http_get(std::uint16_t port, const std::string& path, int timeout_ms = 0) {
   TcpConnection conn = TcpConnection::connect_local(port);
+  conn.set_recv_timeout_ms(timeout_ms);
   const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   conn.send_all(std::as_bytes(std::span(request.data(), request.size())));
   std::string raw;
@@ -831,6 +838,98 @@ TEST(AdminHttp, ServesMetricsHealthzVarzAndTrace) {
   EXPECT_NE(missing.status_line.find("404"), std::string::npos);
 
   http.stop();
+}
+
+/// Opens an admin connection that sends half a request line and then
+/// holds the socket open without finishing it.
+TcpConnection stalled_admin_client(std::uint16_t port) {
+  TcpConnection conn = TcpConnection::connect_local(port);
+  const std::string partial = "GET /heal";
+  conn.send_all(std::as_bytes(std::span(partial.data(), partial.size())));
+  return conn;
+}
+
+TEST(AdminHttp, StalledClientDoesNotBlockOtherRequests) {
+  obs::Telemetry telemetry;
+  AdminHttpServer http(telemetry, 0);
+  http.start();
+  TcpConnection staller = stalled_admin_client(http.port());
+
+  // The sidecar serves one connection at a time, so /healthz is answered
+  // only once the staller is dropped at the request deadline.
+  constexpr int kBoundMs = AdminHttpServer::kRequestDeadlineMs + 1000;
+  const auto t0 = std::chrono::steady_clock::now();
+  HttpResponse healthz;
+  try {
+    healthz = http_get(http.port(), "/healthz", kBoundMs);
+  } catch (const RpcError& e) {
+    ADD_FAILURE() << "GET /healthz behind a stalled client: " << e.what();
+  }
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_NE(healthz.status_line.find("200"), std::string::npos);
+  EXPECT_EQ(healthz.body, "ok\n");
+  EXPECT_LE(waited, std::chrono::milliseconds(kBoundMs));
+
+  staller.close();
+  http.stop();
+}
+
+TEST(AdminHttp, TricklingClientIsClosedAtTheDeadline) {
+  obs::Telemetry telemetry;
+  AdminHttpServer http(telemetry, 0);
+  http.start();
+
+  // One byte every 500 ms of a request line that never ends: each byte
+  // arrives well within any per-read timeout, so only a whole-request
+  // deadline can cut it off.
+  TcpConnection trickler = TcpConnection::connect_local(http.port());
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string line = "GET /healthz HTTP/1.0 ";
+  bool closed = false;
+  for (std::size_t i = 0; i < 12 && !closed; ++i) {
+    const char c = line[i % line.size()];
+    if (::send(trickler.fd(), &c, 1, MSG_NOSIGNAL) != 1) {
+      closed = true;
+      break;
+    }
+    pollfd pfd{};
+    pfd.fd = trickler.fd();
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, 500) > 0) {
+      char sink = 0;
+      closed = ::recv(trickler.fd(), &sink, 1, MSG_DONTWAIT) <= 0;
+    }
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(closed) << "the sidecar kept reading a trickled request for 6 s";
+  if (closed) {
+    EXPECT_GE(elapsed, std::chrono::milliseconds(AdminHttpServer::kRequestDeadlineMs / 2));
+    EXPECT_LE(elapsed, std::chrono::milliseconds(AdminHttpServer::kRequestDeadlineMs + 1000));
+  }
+  trickler.close();
+  http.stop();
+}
+
+TEST(AdminHttp, StopReturnsWhileAClientStalls) {
+  obs::Telemetry telemetry;
+  AdminHttpServer http(telemetry, 0);
+  http.start();
+  TcpConnection staller = stalled_admin_client(http.port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // accepted, mid-read
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    http.stop();
+    stopped.store(true);
+  });
+  const auto bound = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(AdminHttpServer::kRequestDeadlineMs + 1000);
+  while (!stopped.load() && std::chrono::steady_clock::now() < bound) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(stopped.load()) << "stop() still waiting on a stalled admin client";
+  staller.close();  // lets a stop() that did wait return, so the join cannot hang
+  stopper.join();
 }
 
 TEST(AdminHttp, ControllerTimeseriesTickerClosesWallClockWindows) {

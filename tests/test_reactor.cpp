@@ -1,10 +1,9 @@
 // Event-driven serving tests (DESIGN.md §6h/§6j): the epoll reactor must
 // keep every protocol behavior — round trips, shedding, client deadlines,
 // protocol-error replies, graceful drain — while adding pipelined frame
-// batching through RoutingPolicy::choose_batch.  The backend-parameterized
-// suite at the bottom runs protocol, backpressure, and pinning behaviors
-// against both event-driven backends (epoll and io_uring); uring cases
-// SKIP explicitly on kernels without io_uring.
+// batching through RoutingPolicy::choose_batch.  The BackendReactor suite
+// at the bottom pins protocol, backpressure, and pinning behaviors
+// (DESIGN.md §6j).
 // This file also runs under TSan in CI (tools/ci.sh): the hammer test
 // drives all reactor workers concurrently.
 #include <gtest/gtest.h>
@@ -27,7 +26,6 @@
 #include "rpc/messages.h"
 #include "rpc/server.h"
 #include "rpc/socket.h"
-#include "rpc/uring_reactor.h"
 
 namespace via {
 namespace {
@@ -530,47 +528,18 @@ TEST(Reactor, ViaPolicyChooseBatchMatchesSequential) {
   EXPECT_EQ(got, expect);
 }
 
-// ------------------------------------------- backend-parameterized (§6j)
+// --------------------------------- backpressure, pinning, protocol (§6j)
 
-/// Runs a case against both event-driven backends.  The io_uring variant
-/// SKIPs explicitly (never silently passes) when the kernel can't run it.
-class BackendReactor : public ::testing::TestWithParam<ServingBackend> {
+class BackendReactor : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (GetParam() == ServingBackend::kUring && !UringReactor::supported()) {
-      GTEST_SKIP() << "io_uring unsupported on this kernel";
-    }
-  }
-
-  [[nodiscard]] ServerConfig config(int workers = 2) const {
+  [[nodiscard]] static ServerConfig config(int workers = 2) {
     ServerConfig c;
-    c.backend = GetParam();
     c.reactor_threads = workers;
     return c;
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(Backends, BackendReactor,
-                         ::testing::Values(ServingBackend::kEpoll, ServingBackend::kUring),
-                         [](const auto& info) {
-                           return std::string(serving_backend_name(info.param));
-                         });
-
-TEST_P(BackendReactor, ActiveBackendMatchesRequest) {
-  ModuloPolicy policy;
-  ControllerServer server(policy, 0, config());
-  server.start();
-  EXPECT_EQ(server.serving_backend(), GetParam());
-  ControllerClient client(server.port());
-  DecisionRequest req;
-  req.call_id = 4;
-  req.options = {0, 1};
-  EXPECT_EQ(client.request_decision(req), 0);  // 4 % 2
-  client.shutdown();
-  server.stop();
-}
-
-TEST_P(BackendReactor, PipelinedBurstAnswersInOrder) {
+TEST_F(BackendReactor, PipelinedBurstAnswersInOrder) {
   ModuloPolicy policy;
   ControllerServer server(policy, 0, config());
   server.start();
@@ -592,7 +561,7 @@ TEST_P(BackendReactor, PipelinedBurstAnswersInOrder) {
   EXPECT_EQ(server.decisions_served(), kFrames);
 }
 
-TEST_P(BackendReactor, ProtocolErrorRepliesAndCloses) {
+TEST_F(BackendReactor, ProtocolErrorRepliesAndCloses) {
   ModuloPolicy policy;
   ControllerServer server(policy, 0, config());
   server.start();
@@ -607,7 +576,7 @@ TEST_P(BackendReactor, ProtocolErrorRepliesAndCloses) {
   EXPECT_GE(server.protocol_errors(), 1);
 }
 
-TEST_P(BackendReactor, BackpressurePauseResumeRoundTrip) {
+TEST_F(BackendReactor, BackpressurePauseResumeRoundTrip) {
   // A pipelined flood whose replies outrun the (unread) socket must pause
   // the connection at the write cap, stop reading, then resume and serve
   // every frame in order once the client finally drains.
@@ -660,11 +629,11 @@ TEST_P(BackendReactor, BackpressurePauseResumeRoundTrip) {
   EXPECT_EQ(server.decisions_served(), kFrames);
 }
 
-TEST_P(BackendReactor, DrainedWhileAggregateHighResumesViaSweep) {
+TEST_F(BackendReactor, DrainedWhileAggregateHighResumesViaSweep) {
   // Regression: a connection that pauses while its socket still holds
   // bytes gets no sweep-list entry at pause time.  If its socket then
   // fully drains while the worker aggregate is still above low water, the
-  // final EPOLLOUT / send CQE must park it on the sweep list — otherwise
+  // final EPOLLOUT must park it on the sweep list — otherwise
   // it has zero event interest, sits on no list, and is stranded paused
   // forever even after the aggregate drains.
   ModuloPolicy policy;
@@ -785,7 +754,7 @@ TEST_P(BackendReactor, DrainedWhileAggregateHighResumesViaSweep) {
   EXPECT_EQ(server.decisions_served(), 2 * kFrames);
 }
 
-TEST_P(BackendReactor, ForcedCloseWithPendingWrites) {
+TEST_F(BackendReactor, ForcedCloseWithPendingWrites) {
   // stop() during a pause: the connection still holds queued replies and
   // undispatched frames.  The drain timeout must force it shut without
   // leaking the inflight accounting or wedging stop().
@@ -819,7 +788,7 @@ TEST_P(BackendReactor, ForcedCloseWithPendingWrites) {
   conn.close();
 }
 
-TEST_P(BackendReactor, FrameSlotReuseAcrossVaryingFramesAndBackpressure) {
+TEST_F(BackendReactor, FrameSlotReuseAcrossVaryingFramesAndBackpressure) {
   // A connection's decoded-frame slots keep their payload buffers from one
   // round to the next, so a slot that held a long frame is refilled with a
   // short one and vice versa.  Option counts cycle 0, 1, 24, 3, Reports
@@ -910,7 +879,7 @@ TEST_P(BackendReactor, FrameSlotReuseAcrossVaryingFramesAndBackpressure) {
   EXPECT_EQ(server.decisions_served(), decisions);
 }
 
-TEST_P(BackendReactor, LeastConnectionsPinningBalancesWorkers) {
+TEST_F(BackendReactor, LeastConnectionsPinningBalancesWorkers) {
   ModuloPolicy policy;
   ControllerServer server(policy, 0, config(2));
   server.start();
@@ -953,90 +922,6 @@ TEST_P(BackendReactor, LeastConnectionsPinningBalancesWorkers) {
   EXPECT_EQ(c[1], 2u);
 
   conns.clear();
-  server.stop();
-}
-
-TEST(BackendParity, EpollAndUringProduceIdenticalReplyBytes) {
-  // The tentpole invariant: both backends sit behind the same
-  // dispatch_frame seam, so one pipelined mixed workload must produce
-  // byte-identical reply streams.
-  if (!UringReactor::supported()) {
-    GTEST_SKIP() << "io_uring unsupported on this kernel";
-  }
-  auto run_backend = [](ServingBackend backend) {
-    ModuloPolicy policy;
-    ServerConfig cfg;
-    cfg.backend = backend;
-    cfg.reactor_threads = 2;
-    ControllerServer server(policy, 0, cfg);
-    server.start();
-
-    std::vector<std::byte> burst;
-    int expected_replies = 0;
-    for (int i = 0; i < 48; ++i) {
-      if (i % 5 == 4) {
-        ReportMsg msg;
-        msg.obs.id = i;
-        msg.obs.option = 1;
-        msg.obs.perf = {100.0 + i, 0.5, 2.0};
-        WireWriter w;
-        msg.encode(w);
-        append_frame(burst, MsgType::Report, w);
-      } else {
-        DecisionRequest req;
-        req.call_id = i;
-        req.options = {0, 1, 2};
-        WireWriter w;
-        req.encode(w);
-        append_frame(burst, MsgType::DecisionRequest, w);
-      }
-      ++expected_replies;
-    }
-    TcpConnection conn = TcpConnection::connect_local(server.port());
-    conn.set_recv_timeout_ms(10'000);
-    conn.send_all(burst);
-
-    std::vector<std::byte> replies;
-    for (int i = 0; i < expected_replies; ++i) {
-      Frame reply;
-      EXPECT_TRUE(recv_frame(conn, reply));
-      replies.push_back(static_cast<std::byte>(reply.type));
-      const auto len = static_cast<std::uint32_t>(reply.payload.size());
-      for (int b = 0; b < 4; ++b) {
-        replies.push_back(static_cast<std::byte>((len >> (8 * b)) & 0xFF));
-      }
-      replies.insert(replies.end(), reply.payload.begin(), reply.payload.end());
-    }
-    conn.close();
-    server.stop();
-    return replies;
-  };
-
-  const auto epoll_bytes = run_backend(ServingBackend::kEpoll);
-  const auto uring_bytes = run_backend(ServingBackend::kUring);
-  EXPECT_EQ(epoll_bytes, uring_bytes);
-}
-
-TEST(BackendParity, UringFallsBackToEpollWhenUnsupported) {
-  // VIA_NO_URING forces supported() == false: the server must degrade to
-  // epoll, count the fallback, and keep serving.
-  ::setenv("VIA_NO_URING", "1", 1);
-  ModuloPolicy policy;
-  ServerConfig cfg;
-  cfg.backend = ServingBackend::kUring;
-  cfg.reactor_threads = 2;
-  ControllerServer server(policy, 0, cfg);
-  server.start();
-  ::unsetenv("VIA_NO_URING");
-
-  EXPECT_EQ(server.serving_backend(), ServingBackend::kEpoll);
-  EXPECT_EQ(counter_value(server, "rpc.server.uring_fallbacks"), 1);
-  ControllerClient client(server.port());
-  DecisionRequest req;
-  req.call_id = 2;
-  req.options = {0, 1};
-  EXPECT_EQ(client.request_decision(req), 0);
-  client.shutdown();
   server.stop();
 }
 

@@ -18,9 +18,8 @@ records the producing box's core count in the `cores` key of
 BENCH_core.json; when it is < 2 (or absent, for runs predating the field),
 `_multicore_only` rows are downgraded to warnings instead of failures.
 
-Rows listed in `_optional` may legitimately be absent from a run — io_uring
-rows on kernels without io_uring, high-connection sweep points under
-VIA_BENCH_SWEEP_SCALE=small.  A missing `_optional` row prints an explicit
+Rows listed in `_optional` may legitimately be absent from a run — the
+high-connection sweep points under VIA_BENCH_SWEEP_SCALE=small.  A missing `_optional` row prints an explicit
 SKIP line (never a warning); when the row IS present it is checked like any
 other (pair it with `_warn_only` to keep it from failing the gate).
 
