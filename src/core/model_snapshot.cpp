@@ -59,7 +59,7 @@ ModelSnapshot::PairView ModelSnapshot::pair_model(const CallContext& call,
   const bool hit = pair_models_.with_shared(key, [&](const FlatMap<PairModel>& map) {
     const PairModel* model = map.find(key);
     if (model == nullptr) return false;
-    view = {model->top_k, model->predicted_benefit};
+    view = {model->top_k, model->predicted_benefit, true};
     return true;
   });
   if (hit) return view;
@@ -72,7 +72,7 @@ ModelSnapshot::PairView ModelSnapshot::pair_model(const CallContext& call,
     TopKCoverage coverage;
     build_pair_model(call, overflow_preds, coverage, overflow_model);
     memo_overflow_.fetch_add(1, std::memory_order_relaxed);
-    return {overflow_model.top_k, overflow_model.predicted_benefit};
+    return {overflow_model.top_k, overflow_model.predicted_benefit, false};
   }
 
   // Cold pair: compute the model outside any lock (a pure function of the
@@ -86,14 +86,14 @@ ModelSnapshot::PairView ModelSnapshot::pair_model(const CallContext& call,
     if (map.find(key) != nullptr) return false;  // lost the build race
     PairModel& slot = map[key];
     slot = std::move(built);
-    view = {slot.top_k, slot.predicted_benefit};
+    view = {slot.top_k, slot.predicted_benefit, true};
     return true;
   });
   if (!won) {
     // Another thread published first; its entry holds the identical bits.
     pair_models_.with_shared(key, [&](const FlatMap<PairModel>& map) {
       const PairModel* model = map.find(key);
-      view = {model->top_k, model->predicted_benefit};
+      view = {model->top_k, model->predicted_benefit, true};
       return true;
     });
     return view;

@@ -54,13 +54,18 @@ class PairBuildObserver {
 
 class ModelSnapshot {
  public:
-  /// One pair's slice of the model.  The span points into snapshot-owned
-  /// storage and stays valid for the snapshot's lifetime.
+  /// One pair's slice of the model.  A resident view's span points into
+  /// the memo and stays valid for the snapshot's lifetime; a non-resident
+  /// one (an over-budget build, see set_memo_budget) points into
+  /// thread-local scratch and must not outlive the call.
   struct PairView {
     std::span<const RankedOption> top_k;
     /// Predicted benefit of relaying: direct prediction minus the best
     /// candidate's prediction (0 when either side is unknown).
     double predicted_benefit = 0.0;
+    /// Whether the view is memo-resident, so callers may keep it for as
+    /// long as they keep the snapshot (PairServingState does).
+    bool resident = false;
   };
 
   /// The cold controller's period-0 snapshot: untrained predictor, so every
@@ -79,7 +84,10 @@ class ModelSnapshot {
 
   /// The pair's model, memoized on first touch (see file comment for why
   /// lazy fill keeps the snapshot logically immutable).  `observer` (may be
-  /// null) fires only when this call actually built the entry.
+  /// null) fires only when this call actually built the entry.  ViaPolicy
+  /// calls it only to arm a pair for this snapshot (and on every call of
+  /// an over-budget pair); warm calls read the resident view that arming
+  /// cached in the pair's PairServingState.
   [[nodiscard]] PairView pair_model(const CallContext& call, PairBuildObserver* observer) const;
 
   /// Eagerly builds the per-pair memos for `calls` (DESIGN.md §6e): the
@@ -111,9 +119,9 @@ class ModelSnapshot {
   /// `budget` pairs are resident, further cold pairs are served from
   /// thread-local scratch instead of being inserted: correct bits, no
   /// growth, but rebuilt on every touch and — like a lost insert race —
-  /// no observer fire.  A scratch-served PairView's span is valid only
-  /// until the same thread's next overflow build; budgeted callers use the
-  /// view within the call (all in-tree callers do).
+  /// no observer fire.  A scratch-served PairView (resident == false) is
+  /// valid only until the same thread's next overflow build, so callers
+  /// use it within the call and never cache it.
   void set_memo_budget(std::size_t budget) noexcept { memo_budget_ = budget; }
   [[nodiscard]] std::size_t memo_budget() const noexcept { return memo_budget_; }
   /// Cold builds served from scratch because the budget was exhausted.

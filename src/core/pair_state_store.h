@@ -30,6 +30,7 @@
 #include "common/relay_option.h"
 #include "core/bandit.h"
 #include "core/budget.h"
+#include "core/model_snapshot.h"
 #include "obs/metrics.h"
 #include "util/cacheline.h"
 #include "util/flat_map.h"
@@ -42,6 +43,14 @@ namespace via {
 struct PairServingState {
   std::uint64_t period = ~0ULL;
   UcbBandit bandit;
+  /// The armed period's memo view (top-k span + predicted benefit), kept
+  /// so a warm decision neither probes nor locks the snapshot's memo.
+  /// Only resident views are kept (`view.resident`); an over-budget pair
+  /// keeps an empty view and asks the snapshot on every call.  The span
+  /// is valid while a snapshot of `period` is pinned: each period has
+  /// exactly one published snapshot, and memo vectors are never erased or
+  /// moved while it lives (sharded_map.h).
+  ModelSnapshot::PairView view;
   /// Pre-warm context (ViaConfig::prewarm_pairs): endpoints and candidate
   /// set of the call that last re-armed this pair, captured once per
   /// period under the stripe lock so prepare_refresh() can rebuild the

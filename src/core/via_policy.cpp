@@ -227,30 +227,29 @@ void ViaPolicy::prepare_refresh(TimeSec now) {
 }
 
 void ViaPolicy::commit_refresh(TimeSec now) {
-  std::shared_ptr<const ModelSnapshot> staged;
-  {
-    const std::lock_guard lock(prepare_mutex_);
-    staged = std::move(pending_);
-    pending_ = nullptr;
-  }
-  if (staged == nullptr) {
+  std::unique_lock lock(prepare_mutex_);
+  if (pending_ == nullptr) {
     // Nothing prepared: a host driving only commit gets the monolithic
     // behavior (build inline, then publish below).
+    lock.unlock();
     prepare_refresh(now);
-    const std::lock_guard lock(prepare_mutex_);
-    staged = std::move(pending_);
-    pending_ = nullptr;
+    lock.lock();
   }
   // The exclusive section the host stalls serving for is just this swap.
   const obs::ScopedTimer swap_timer(inst_.refresh_swap_us);
   // Per-pair serving states are invalidated lazily: choose() re-arms a
   // pair's bandit when its recorded period trails the published one.
-  snapshot_.store(std::move(staged), std::memory_order_release);
+  // Publishing under prepare_mutex_ means no prepare can read the outgoing
+  // model between taking pending_ and this store, so every published
+  // snapshot has a period of its own — what the memo views cached per pair
+  // (PairServingState::view) rely on.
+  snapshot_.store(std::move(pending_), std::memory_order_release);
   // Publish the new epoch only after the pointer itself: a reader that
   // observes the bumped version (acquire) is guaranteed to reload at least
   // this snapshot; a reader that still sees the old version serves the old
   // snapshot, exactly as an in-flight choose() pinned before the swap does.
   snapshot_version_.fetch_add(1, std::memory_order_release);
+  lock.unlock();
   if (inst_.flight != nullptr) {
     inst_.flight->record(obs::FlightEventKind::RefreshCommit, "refresh commit: snapshot published",
                          static_cast<std::int64_t>(model()->period()), -1, now);
@@ -364,7 +363,7 @@ void ViaPolicy::count_choice(OptionId option) {
   }
 }
 
-std::shared_ptr<const ModelSnapshot> ViaPolicy::model_cached() const noexcept {
+const std::shared_ptr<const ModelSnapshot>& ViaPolicy::model_cached() const noexcept {
   struct Pin {
     std::uint64_t uid = 0;  ///< 0 never matches a real policy_uid_
     std::uint64_t version = 0;
@@ -384,17 +383,16 @@ std::shared_ptr<const ModelSnapshot> ViaPolicy::model_cached() const noexcept {
   return pin.snap;
 }
 
-OptionId ViaPolicy::choose(const CallContext& call) { return choose_with(model_cached(), call); }
+OptionId ViaPolicy::choose(const CallContext& call) { return choose_with(*model_cached(), call); }
 
 void ViaPolicy::choose_batch(std::span<const CallContext> calls, std::span<OptionId> out) {
   // One snapshot pin for the whole batch (§6h): the reactor decodes many
   // decision requests per readiness event and lands them here.
-  const std::shared_ptr<const ModelSnapshot> snap = model_cached();
+  const ModelSnapshot& snap = *model_cached();
   for (std::size_t i = 0; i < calls.size(); ++i) out[i] = choose_with(snap, calls[i]);
 }
 
-OptionId ViaPolicy::choose_with(const std::shared_ptr<const ModelSnapshot>& snap,
-                                const CallContext& call) {
+OptionId ViaPolicy::choose_with(const ModelSnapshot& snap, const CallContext& call) {
   ServingStats& stats = store_.stats;
   stats.calls.inc();
 
@@ -414,32 +412,48 @@ OptionId ViaPolicy::choose_with(const std::shared_ptr<const ModelSnapshot>& snap
 
   // `snap` pins the published model for the whole decision: a concurrent
   // refresh swaps the pointer but cannot invalidate what the caller loaded.
-  const ModelSnapshot::PairView pair = snap->pair_model(call, this);
-  store_.budget_on_call(pair.predicted_benefit);
-  span.stage("snapshot_topk");
-
   const OptionId direct = RelayOptionTable::direct_id();
   const std::uint64_t key = call.pair_key();
   PairStateStore::Stripe& stripe = store_.stripe(key);
-  const std::lock_guard lock(stripe.mutex);
+  std::unique_lock lock(stripe.mutex);
 
-  PairServingState& state = stripe.pairs[key];
-  if (state.period != snap->period()) {
-    // Surviving arms keep decayed statistics from the adjacent period.
-    const bool adjacent_period = (state.period + 1 == snap->period());
-    state.period = snap->period();
-    state.bandit.set_arms(pair.top_k, config_.bandit,
-                          adjacent_period ? &state.bandit : nullptr);
-    if (config_.prewarm_pairs) {
-      // Once per pair and period: capture the pre-warm context the next
-      // prepare_refresh() rebuilds this pair's memo from.
-      state.src_as = call.src_as;
-      state.dst_as = call.dst_as;
-      state.key_src = call.key_src;
-      state.key_dst = call.key_dst;
-      state.options.assign(call.options.begin(), call.options.end());
+  PairServingState* state = stripe.pairs.find(key);
+  ModelSnapshot::PairView pair;
+  if (state != nullptr && state->period == snap.period() && state->view.resident) {
+    // Warm: armed for this snapshot, whose memo holds the view.  The
+    // decision writes nothing outside this stripe (and the counters).
+    pair = state->view;
+  } else {
+    // Arming (or an over-budget pair): a cold memo build is the costly
+    // part, so it runs outside the stripe lock; the period is checked
+    // again once the lock is back, and the state looked up again because
+    // the stripe's table may have rehashed meanwhile.
+    lock.unlock();
+    pair = snap.pair_model(call, this);
+    span.stage("snapshot_topk");
+    lock.lock();
+    state = &stripe.pairs[key];
+    if (state->period != snap.period()) {
+      // Surviving arms keep decayed statistics from the adjacent period.
+      const bool adjacent_period = (state->period + 1 == snap.period());
+      state->period = snap.period();
+      state->bandit.set_arms(pair.top_k, config_.bandit,
+                             adjacent_period ? &state->bandit : nullptr);
+      if (config_.prewarm_pairs) {
+        // Once per pair and period: capture the pre-warm context the next
+        // prepare_refresh() rebuilds this pair's memo from.
+        state->src_as = call.src_as;
+        state->dst_as = call.dst_as;
+        state->key_src = call.key_src;
+        state->key_dst = call.key_dst;
+        state->options.assign(call.options.begin(), call.options.end());
+      }
     }
+    // Never keep a scratch-served view: the next over-budget build on
+    // this thread overwrites it.
+    state->view = pair.resident ? pair : ModelSnapshot::PairView{};
   }
+  store_.budget_on_call(pair.predicted_benefit);
   span.stage("pair_state");
 
   // §6f relay health: with the state machine enabled AND at least one
@@ -466,7 +480,7 @@ OptionId ViaPolicy::choose_with(const std::shared_ptr<const ModelSnapshot>& snap
       stats.quarantine_rerouted.inc();
       count_choice(direct);
       trace_decision(call, direct, obs::DecisionReason::QuarantinedRelay, pair.top_k,
-                     state.bandit.total_plays());
+                     state->bandit.total_plays());
       return direct;
     }
     if (pick == direct ||
@@ -475,18 +489,18 @@ OptionId ViaPolicy::choose_with(const std::shared_ptr<const ModelSnapshot>& snap
       stats.epsilon_explored.inc();
       count_choice(pick);
       trace_decision(call, pick, obs::DecisionReason::EpsilonExplore, pair.top_k,
-                     state.bandit.total_plays());
+                     state->bandit.total_plays());
       return pick;
     }
     stats.budget_denied.inc();
     count_choice(direct);
     trace_decision(call, direct, obs::DecisionReason::BudgetVeto, pair.top_k,
-                   state.bandit.total_plays());
+                   state->bandit.total_plays());
     return direct;
   }
 
   // Stage 4a: modified-UCB1 over the top-k candidates.
-  OptionId pick = state.bandit.pick();
+  OptionId pick = state->bandit.pick();
   span.stage("bandit_pick");
   span.name_tail("budget");
   if (pick == kInvalidOption) {
@@ -495,7 +509,7 @@ OptionId ViaPolicy::choose_with(const std::shared_ptr<const ModelSnapshot>& snap
     stats.cold_start_direct.inc();
     count_choice(direct);
     trace_decision(call, direct, obs::DecisionReason::FallbackDirect, pair.top_k,
-                   state.bandit.total_plays());
+                   state->bandit.total_plays());
     return direct;
   }
   obs::DecisionReason served_reason = obs::DecisionReason::Ucb;
@@ -504,7 +518,7 @@ OptionId ViaPolicy::choose_with(const std::shared_ptr<const ModelSnapshot>& snap
     // The bandit's pick rides a quarantined relay: substitute its best
     // unblocked arm, or fall all the way back to direct when the outage
     // has taken the entire candidate set down.
-    pick = state.bandit.pick_if([&](OptionId o) { return !health_blocks(o); });
+    pick = state->bandit.pick_if([&](OptionId o) { return !health_blocks(o); });
     span.stage("health_filter");
     if (pick == kInvalidOption) {
       stats.outage_fallback_direct.inc();
@@ -516,7 +530,7 @@ OptionId ViaPolicy::choose_with(const std::shared_ptr<const ModelSnapshot>& snap
       }
       count_choice(direct);
       trace_decision(call, direct, obs::DecisionReason::FallbackDirectOutage, pair.top_k,
-                     state.bandit.total_plays());
+                     state->bandit.total_plays());
       return direct;
     }
     served_reason = obs::DecisionReason::QuarantinedRelay;
@@ -527,21 +541,21 @@ OptionId ViaPolicy::choose_with(const std::shared_ptr<const ModelSnapshot>& snap
       stats.budget_denied.inc();
       count_choice(direct);
       trace_decision(call, direct, obs::DecisionReason::BudgetVeto, pair.top_k,
-                     state.bandit.total_plays());
+                     state->bandit.total_plays());
       return direct;
     }
     if (!store_.relay_cap_allows(options_->get(pick))) {
       stats.relay_cap_denied.inc();
       count_choice(direct);
       trace_decision(call, direct, obs::DecisionReason::BudgetVeto, pair.top_k,
-                     state.bandit.total_plays());
+                     state->bandit.total_plays());
       return direct;
     }
   }
   (rerouted ? stats.quarantine_rerouted : stats.bandit_served)
       .inc();
   count_choice(pick);
-  trace_decision(call, pick, served_reason, pair.top_k, state.bandit.total_plays());
+  trace_decision(call, pick, served_reason, pair.top_k, state->bandit.total_plays());
   return pick;
 }
 
@@ -557,12 +571,12 @@ void ViaPolicy::observe(const Observation& obs) {
   }
 
   {
-    const std::shared_ptr<const ModelSnapshot> snap = model_cached();
+    const std::uint64_t period = model_cached()->period();
     const std::uint64_t key = as_pair_key(obs.src_as, obs.dst_as);
     PairStateStore::Stripe& stripe = store_.stripe(key);
     const std::lock_guard lock(stripe.mutex);
     PairServingState* state = stripe.pairs.find(key);
-    if (state != nullptr && state->period == snap->period()) {
+    if (state != nullptr && state->period == period) {
       state->bandit.observe(obs.option, obs.perf.get(config_.target));
     }
   }

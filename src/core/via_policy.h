@@ -291,9 +291,11 @@ class ViaPolicy final : public RoutingPolicy, private PairBuildObserver {
                       std::span<const RankedOption> top_k, std::int64_t bandit_pulls);
 
   /// choose() against an already-pinned snapshot — the shared body of
-  /// choose() and choose_batch().
-  [[nodiscard]] OptionId choose_with(const std::shared_ptr<const ModelSnapshot>& snap,
-                                     const CallContext& call);
+  /// choose() and choose_batch().  A pair already armed for `snap` is
+  /// served from its PairServingState alone (warm path: one stripe lock,
+  /// no memo probe); otherwise the pair's model is fetched from `snap`
+  /// outside the stripe lock and the pair is armed under it.
+  [[nodiscard]] OptionId choose_with(const ModelSnapshot& snap, const CallContext& call);
 
   /// The published snapshot via a thread-local pin revalidated against
   /// snapshot_version_.  Functionally identical to model(), but the common
@@ -302,7 +304,16 @@ class ViaPolicy final : public RoutingPolicy, private PairBuildObserver {
   /// libstdc++ serializes every caller on a per-object spinlock plus two
   /// contended refcount RMWs, and was a main driver of the 4/8-thread
   /// choose throughput decline.
-  [[nodiscard]] std::shared_ptr<const ModelSnapshot> model_cached() const noexcept;
+  ///
+  /// Borrowed-pin invariant: the returned reference IS the calling
+  /// thread's pin (one per thread, shared by every ViaPolicy), not a copy,
+  /// so a decision pays no refcount traffic on the shared control block.
+  /// It stays valid, and keeps its snapshot alive, until this thread's
+  /// next model_cached() call on any policy.  choose(), choose_batch() and
+  /// observe() each call it once and make no nested call that could
+  /// reload it (observers and telemetry never reach a policy's serving
+  /// entry points); keep it that way, or copy the shared_ptr.
+  [[nodiscard]] const std::shared_ptr<const ModelSnapshot>& model_cached() const noexcept;
 
   const RelayOptionTable* options_;
   ViaConfig config_;

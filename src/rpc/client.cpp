@@ -103,37 +103,38 @@ void ControllerClient::backoff_sleep(int attempt_index) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(capped * jitter));
 }
 
-Frame ControllerClient::attempt(MsgType type, const WireWriter& w, MsgType expected) {
+WireWriter ControllerClient::begin_request() {
+  begin_frame(tx_);
+  return WireWriter(tx_);
+}
+
+void ControllerClient::attempt(MsgType type, MsgType expected) {
   try {
     ensure_connected();
-    if (tel_bytes_out_ != nullptr) {
-      tel_bytes_out_->inc(static_cast<std::int64_t>(w.bytes().size() + kFrameHeaderBytes));
-    }
-    send_frame(*conn_, static_cast<std::uint8_t>(type), w.bytes());
-    Frame frame;
-    if (!recv_frame(*conn_, frame)) {
+    if (tel_bytes_out_ != nullptr) tel_bytes_out_->inc(static_cast<std::int64_t>(tx_.size()));
+    send_framed(*conn_, static_cast<std::uint8_t>(type), tx_);
+    if (!recv_frame(*conn_, rx_)) {
       throw RpcError(RpcErrorKind::Reset, "controller closed connection");
     }
-    if (frame.type == static_cast<std::uint8_t>(MsgType::Busy)) {
+    if (rx_.type == static_cast<std::uint8_t>(MsgType::Busy)) {
       throw RpcError(RpcErrorKind::Busy, "server shed request under overload");
     }
-    if (frame.type == static_cast<std::uint8_t>(MsgType::Error)) {
+    if (rx_.type == static_cast<std::uint8_t>(MsgType::Error)) {
       std::string text = "server reported a protocol error";
       try {
-        WireReader r(frame.payload);
+        WireReader r(rx_.payload);
         text = ErrorMsg::decode(r).text;
       } catch (const std::exception&) {
         // Even the error payload was malformed; keep the generic text.
       }
       throw RpcError(RpcErrorKind::Protocol, text);
     }
-    if (frame.type != static_cast<std::uint8_t>(expected)) {
+    if (rx_.type != static_cast<std::uint8_t>(expected)) {
       throw RpcError(RpcErrorKind::Protocol, "unexpected response type");
     }
     if (tel_bytes_in_ != nullptr) {
-      tel_bytes_in_->inc(static_cast<std::int64_t>(frame.payload.size() + kFrameHeaderBytes));
+      tel_bytes_in_->inc(static_cast<std::int64_t>(rx_.payload.size() + kFrameHeaderBytes));
     }
-    return frame;
   } catch (const RpcError&) {
     throw;
   } catch (const ProtocolError& e) {
@@ -145,11 +146,12 @@ Frame ControllerClient::attempt(MsgType type, const WireWriter& w, MsgType expec
   }
 }
 
-Frame ControllerClient::round_trip(MsgType type, const WireWriter& w, MsgType expected) {
+const Frame& ControllerClient::round_trip(MsgType type, MsgType expected) {
   const obs::ScopedTimer timer(tel_request_us_);
   for (int attempt_index = 0;; ++attempt_index) {
     try {
-      return attempt(type, w, expected);
+      attempt(type, expected);
+      return rx_;
     } catch (const RpcError& e) {
       note_error(e.kind());
       // Timeout/reset poison the stream (a late response would arrive as
@@ -168,10 +170,10 @@ Frame ControllerClient::round_trip(MsgType type, const WireWriter& w, MsgType ex
 }
 
 OptionId ControllerClient::request_decision(const DecisionRequest& request) {
-  WireWriter w;
+  WireWriter w = begin_request();
   request.encode(w);
   try {
-    Frame frame = round_trip(MsgType::DecisionRequest, w, MsgType::DecisionResponse);
+    const Frame& frame = round_trip(MsgType::DecisionRequest, MsgType::DecisionResponse);
     WireReader r(frame.payload);
     const DecisionResponse resp = DecisionResponse::decode(r);
     if (resp.call_id != request.call_id) {
@@ -200,31 +202,29 @@ OptionId ControllerClient::request_decision(const DecisionRequest& request) {
 }
 
 void ControllerClient::report(const Observation& obs) {
-  WireWriter w;
+  WireWriter w = begin_request();
   ReportMsg{obs}.encode(w);
-  (void)round_trip(MsgType::Report, w, MsgType::ReportAck);
+  (void)round_trip(MsgType::Report, MsgType::ReportAck);
 }
 
 void ControllerClient::refresh(TimeSec now) {
-  WireWriter w;
+  WireWriter w = begin_request();
   RefreshMsg{now}.encode(w);
-  (void)round_trip(MsgType::Refresh, w, MsgType::RefreshAck);
+  (void)round_trip(MsgType::Refresh, MsgType::RefreshAck);
 }
 
 std::string ControllerClient::get_stats(obs::StatsFormat format) {
-  WireWriter w;
+  WireWriter w = begin_request();
   StatsRequest{static_cast<std::uint8_t>(format)}.encode(w);
-  Frame frame = round_trip(MsgType::GetStats, w, MsgType::GetStatsResponse);
-  WireReader r(frame.payload);
+  WireReader r(round_trip(MsgType::GetStats, MsgType::GetStatsResponse).payload);
   StatsResponse resp = StatsResponse::decode(r);
   last_replica_id_ = resp.replica_id;
   return std::move(resp.text);
 }
 
 PongMsg ControllerClient::ping() {
-  const WireWriter w;  // Ping has no payload
-  Frame frame = round_trip(MsgType::Ping, w, MsgType::Pong);
-  WireReader r(frame.payload);
+  begin_frame(tx_);  // Ping has no payload
+  WireReader r(round_trip(MsgType::Ping, MsgType::Pong).payload);
   const PongMsg pong = PongMsg::decode(r);
   last_replica_id_ = pong.replica_id;
   if (pong.ring_epoch != 0) last_ring_epoch_ = pong.ring_epoch;
@@ -232,33 +232,31 @@ PongMsg ControllerClient::ping() {
 }
 
 GossipSegmentsAckMsg ControllerClient::gossip_segments(const GossipSegmentsMsg& msg) {
-  WireWriter w;
+  WireWriter w = begin_request();
   msg.encode(w);
-  Frame frame = round_trip(MsgType::GossipSegments, w, MsgType::GossipSegmentsAck);
-  WireReader r(frame.payload);
+  WireReader r(round_trip(MsgType::GossipSegments, MsgType::GossipSegmentsAck).payload);
   return GossipSegmentsAckMsg::decode(r);
 }
 
 std::string ControllerClient::get_trace(std::uint32_t max_bytes) {
-  WireWriter w;
+  WireWriter w = begin_request();
   DumpRequest{max_bytes}.encode(w);
-  Frame frame = round_trip(MsgType::GetTrace, w, MsgType::GetTraceResponse);
-  WireReader r(frame.payload);
+  WireReader r(round_trip(MsgType::GetTrace, MsgType::GetTraceResponse).payload);
   return StatsResponse::decode(r).text;
 }
 
 std::string ControllerClient::get_flight_record(std::uint32_t max_bytes) {
-  WireWriter w;
+  WireWriter w = begin_request();
   DumpRequest{max_bytes}.encode(w);
-  Frame frame = round_trip(MsgType::GetFlightRecord, w, MsgType::GetFlightRecordResponse);
-  WireReader r(frame.payload);
+  WireReader r(round_trip(MsgType::GetFlightRecord, MsgType::GetFlightRecordResponse).payload);
   return StatsResponse::decode(r).text;
 }
 
 void ControllerClient::shutdown() {
   if (conn_ != nullptr && conn_->valid()) {
     try {
-      send_frame(*conn_, static_cast<std::uint8_t>(MsgType::Shutdown), {});
+      begin_frame(tx_);
+      send_framed(*conn_, static_cast<std::uint8_t>(MsgType::Shutdown), tx_);
     } catch (const std::exception&) {
       // Best effort: the server reaps the connection either way.
     }

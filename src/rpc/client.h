@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/policy.h"
 #include "obs/export.h"
@@ -117,12 +118,16 @@ class ControllerClient {
   [[nodiscard]] std::uint64_t last_ring_epoch() const noexcept { return last_ring_epoch_; }
 
  private:
-  /// Sends one frame and waits for the expected response type under the
-  /// configured deadline/retry policy, recording latency/bytes/errors when
-  /// metrics are attached.
-  [[nodiscard]] Frame round_trip(MsgType type, const WireWriter& w, MsgType expected);
+  /// Starts the next request frame in tx_ and returns a writer appending
+  /// its payload there.
+  [[nodiscard]] WireWriter begin_request();
+  /// Sends the frame in tx_ and waits for the expected response type under
+  /// the configured deadline/retry policy, recording latency/bytes/errors
+  /// when metrics are attached.  The reply is rx_, valid until the next
+  /// request.
+  const Frame& round_trip(MsgType type, MsgType expected);
   /// One attempt; every failure surfaces as a typed RpcError.
-  [[nodiscard]] Frame attempt(MsgType type, const WireWriter& w, MsgType expected);
+  void attempt(MsgType type, MsgType expected);
   void ensure_connected();
   void note_error(RpcErrorKind kind);
   void backoff_sleep(int attempt_index);
@@ -130,6 +135,12 @@ class ControllerClient {
   ConnectionFactory factory_;
   ClientConfig config_;
   std::unique_ptr<TcpConnection> conn_;
+  /// The request frame being sent (header + payload) and the last reply,
+  /// both reused across requests so a steady-state decision or report
+  /// allocates nothing.  Each keeps the capacity of the largest frame it
+  /// has held (at most one kMaxPayload frame).
+  std::vector<std::byte> tx_;
+  Frame rx_;
   bool ever_connected_ = false;
   std::int64_t retries_ = 0;
   std::int64_t reconnects_ = 0;

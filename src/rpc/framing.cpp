@@ -2,21 +2,28 @@
 
 namespace via {
 
-void send_frame(TcpConnection& conn, std::uint8_t type, std::span<const std::byte> payload) {
-  if (payload.size() > kMaxPayload) throw ProtocolError("payload too large");
-  // Header and payload go out as ONE send_all call: besides saving a
-  // syscall, this is what lets the fault injector (faulty_connection.h)
-  // drop/delay/truncate at whole-frame granularity.
-  std::vector<std::byte> frame(kFrameHeaderBytes + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
+void begin_frame(std::vector<std::byte>& frame) {
+  frame.assign(kFrameHeaderBytes, std::byte{0});
+}
+
+void send_framed(TcpConnection& conn, std::uint8_t type, std::vector<std::byte>& frame) {
+  const std::size_t payload = frame.size() - kFrameHeaderBytes;
+  if (payload > kMaxPayload) throw ProtocolError("payload too large");
+  const auto len = static_cast<std::uint32_t>(payload);
   for (std::size_t i = 0; i < 4; ++i) {
     frame[i] = static_cast<std::byte>((len >> (8 * i)) & 0xFF);
   }
   frame[4] = static_cast<std::byte>(type);
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kFrameHeaderBytes, payload.data(), payload.size());
-  }
   conn.send_all(frame);
+}
+
+void send_frame(TcpConnection& conn, std::uint8_t type, std::span<const std::byte> payload) {
+  if (payload.size() > kMaxPayload) throw ProtocolError("payload too large");
+  std::vector<std::byte> frame;
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  begin_frame(frame);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  send_framed(conn, type, frame);
 }
 
 bool recv_frame(TcpConnection& conn, Frame& out) {

@@ -142,7 +142,21 @@ struct Frame {
   std::vector<std::byte> payload;
 };
 
-/// Sends one frame.  Throws on I/O error.
+/// Starts a frame in `frame`: clears it and leaves room for the header, so
+/// a WireWriter borrowing `frame` appends the payload right behind it.
+/// Reusing one such buffer is how a blocking sender frames without
+/// allocating (ControllerClient keeps one per client).
+void begin_frame(std::vector<std::byte>& frame);
+
+/// Writes the header of a frame started with begin_frame() and sends header
+/// and payload as ONE send_all call, which is what lets the fault injector
+/// (faulty_connection.h) act on whole frames.  Rewriting the header is
+/// idempotent, so a retry may send the same buffer again.  Throws on I/O
+/// error or an oversized payload.
+void send_framed(TcpConnection& conn, std::uint8_t type, std::vector<std::byte>& frame);
+
+/// Sends one frame from a separate payload (one-off senders and tests; it
+/// copies into a fresh buffer).  Throws on I/O error.
 void send_frame(TcpConnection& conn, std::uint8_t type, std::span<const std::byte> payload);
 
 /// Receives one frame.  Returns false on clean EOF before a frame starts;

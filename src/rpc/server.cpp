@@ -98,7 +98,10 @@ ReactorConfig reactor_config(const ServerConfig& config) {
 ControllerServer::ControllerServer(RoutingPolicy& policy, std::uint16_t port, ServerConfig config)
     : policy_(&policy),
       config_(config),
-      telemetry_(4096,
+      // Decision-ring capacity 0: nothing reads a server's decision
+      // events, so choose() only tallies the reason counters and observe()
+      // skips the ring fill.  The simulation engine keeps its ring.
+      telemetry_(0,
                  obs::TraceConfig{.sample_rate = config.trace_sample,
                                   .buffer_capacity = config.trace_buffer},
                  config.flight_capacity),

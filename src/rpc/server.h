@@ -159,7 +159,9 @@ class ControllerServer {
   /// Live connections per reactor worker (least-connections pinning).
   [[nodiscard]] std::vector<std::size_t> reactor_worker_connections() const;
 
-  /// The server's (and hosted policy's) telemetry.
+  /// The server's (and hosted policy's) telemetry.  Its decision ring has
+  /// capacity 0: the policy's per-reason counters are tallied, but no
+  /// decision events are kept.
   [[nodiscard]] obs::Telemetry& telemetry() noexcept { return telemetry_; }
 
   /// Federation (§6k): invoked for every GossipSegments frame with the

@@ -22,6 +22,7 @@
 #include <mutex>
 #include <shared_mutex>
 
+#include "util/cacheline.h"
 #include "util/flat_map.h"
 
 namespace via {
@@ -87,7 +88,9 @@ class ShardedMap {
   }
 
  private:
-  struct Shard {
+  /// Padded to the destructive-interference size, like PairStateStore's
+  /// stripes: unpadded, neighbouring shards' lock words share cache lines.
+  struct alignas(kDestructiveInterferenceSize) Shard {
     mutable std::shared_mutex mutex;
     FlatMap<Value> map;
   };

@@ -9,6 +9,7 @@
 // The multi-threaded tests here also run under TSan in CI (tools/ci.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -336,6 +337,97 @@ struct HammerWorld {
     return 80.0 + 11.0 * static_cast<double>(opt % 13) + static_cast<double>(pair_idx);
   }
 };
+
+/// Drives four refresh periods of HammerWorld traffic (so three refreshes
+/// re-arm every active pair), deciding in groups of 16 calls either one
+/// choose() at a time or one choose_batch() per group, and observing each
+/// group once it is decided.  Costs shift per period, so re-arming changes
+/// top-k sets and carries decayed arms.  Returns every pick in order.
+std::vector<OptionId> drive_rearm_stream(ViaPolicy& policy, const HammerWorld& world,
+                                         bool batched) {
+  constexpr std::size_t kGroup = 16;
+  std::vector<OptionId> picks;
+  std::vector<CallContext> calls(kGroup);
+  std::vector<std::size_t> pair_of(kGroup);
+  std::vector<OptionId> out(kGroup);
+  Rng rng(77);
+  CallId id = 1;
+  auto observe = [&](const CallContext& call, std::size_t pair_idx, OptionId option,
+                     int period) {
+    Observation o;
+    o.id = call.id;
+    o.time = call.time;
+    o.src_as = call.src_as;
+    o.dst_as = call.dst_as;
+    o.option = option;
+    const double c = HammerWorld::cost(pair_idx, option) +
+                     static_cast<double>((period * 37 + option * 11) % 50);
+    o.perf = {c, c / 100.0, c / 20.0};
+    policy.observe(o);
+  };
+  for (int period = 0; period < 4; ++period) {
+    // Seed history: every pair observes every candidate each period.
+    for (std::size_t p = 0; p < world.pairs.size(); ++p) {
+      const CallContext call = world.context_for(p, id++, period * kSecondsPerDay);
+      for (const OptionId option : world.pair_options[p]) observe(call, p, option, period);
+    }
+    for (int group = 0; group < 40; ++group) {
+      for (std::size_t i = 0; i < kGroup; ++i) {
+        pair_of[i] = static_cast<std::size_t>(rng.uniform_index(world.pairs.size()));
+        calls[i] = world.context_for(pair_of[i], id++, period * kSecondsPerDay + group);
+      }
+      if (batched) {
+        policy.choose_batch(calls, out);
+      } else {
+        for (std::size_t i = 0; i < kGroup; ++i) out[i] = policy.choose(calls[i]);
+      }
+      for (std::size_t i = 0; i < kGroup; ++i) {
+        observe(calls[i], pair_of[i], out[i], period);
+        picks.push_back(out[i]);
+      }
+    }
+    policy.refresh((period + 1) * kSecondsPerDay);
+  }
+  return picks;
+}
+
+/// Warm decisions read the memo view cached at arming; re-arming across
+/// refreshes must leave every choice stream as the per-call path makes it,
+/// at any stripe count and whether calls arrive one by one or batched.
+TEST(GoldenReplay, ReArmedChoiceStreamsMatchAcrossStripesAndBatching) {
+  HammerWorld world;
+  auto run = [&](std::size_t stripes, double epsilon, bool batched,
+                 std::size_t memo_budget = 0) {
+    ViaConfig config;
+    config.seed = 3;
+    config.epsilon = epsilon;
+    config.serving_stripes = stripes;
+    config.mem.snapshot_memo_budget = memo_budget;
+    ViaPolicy policy(
+        world.options, [](RelayId, RelayId) { return PathPerformance{5.0, 0.05, 0.5}; },
+        config);
+    std::vector<OptionId> picks = drive_rearm_stream(policy, world, batched);
+    EXPECT_EQ(policy.model()->period(), 4u);
+    return picks;
+  };
+
+  // The reference never serves a warm call: with a one-entry memo every
+  // pair but one is over budget, so each call fetches its view afresh.
+  // ε = 0 draws nothing from the stripes' RNG streams, so the stream is a
+  // function of per-pair state alone and must not depend on the stripes.
+  const std::vector<OptionId> reference = run(1, 0.0, false, /*memo_budget=*/1);
+  ASSERT_EQ(reference.size(), 4u * 40u * 16u);
+  EXPECT_GT(std::count_if(reference.begin(), reference.end(),
+                          [](OptionId o) { return o != RelayOptionTable::direct_id(); }),
+            0);
+  for (const std::size_t stripes : {1U, 4U, 64U}) {
+    EXPECT_EQ(run(stripes, 0.0, false), reference) << stripes << " stripes, choose";
+    EXPECT_EQ(run(stripes, 0.0, true), reference) << stripes << " stripes, choose_batch";
+    // ε > 0: each stripe draws its own stream, so stripe counts differ
+    // from one another, but batching must not.
+    EXPECT_EQ(run(stripes, 0.1, true), run(stripes, 0.1, false)) << stripes << " stripes, eps";
+  }
+}
 
 /// N worker threads hammer choose+observe while the main thread runs
 /// periodic refreshes; workers take the policy lock shared (the RPC

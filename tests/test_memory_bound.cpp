@@ -13,6 +13,7 @@
 #include "core/model_snapshot.h"
 #include "core/pair_state_store.h"
 #include "core/via_policy.h"
+#include "obs/telemetry.h"
 #include "util/rng.h"
 
 namespace via {
@@ -200,9 +201,35 @@ class BoundedPolicyTest : public ::testing::Test {
   }
 
   /// Drives `days` periods of traffic over `num_pairs` pairs; returns the
-  /// chosen option sequence.
-  std::vector<OptionId> drive(ViaPolicy& policy, int days, AsId num_pairs) {
+  /// chosen option sequence.  `batch` > 1 decides that many calls per
+  /// choose_batch() and observes them after the batch.
+  std::vector<OptionId> drive(ViaPolicy& policy, int days, AsId num_pairs,
+                              std::size_t batch = 1) {
     std::vector<OptionId> choices;
+    std::vector<CallContext> calls;
+    std::vector<OptionId> picks;
+    auto flush = [&] {
+      picks.resize(calls.size());
+      if (batch > 1) {
+        policy.choose_batch(calls, picks);
+      } else {
+        for (std::size_t i = 0; i < calls.size(); ++i) picks[i] = policy.choose(calls[i]);
+      }
+      for (std::size_t i = 0; i < calls.size(); ++i) {
+        const OptionId pick = picks[i];
+        choices.push_back(pick);
+        Observation o;
+        o.id = calls[i].id;
+        o.time = calls[i].time;
+        o.src_as = calls[i].key_src;
+        o.dst_as = calls[i].key_dst;
+        o.option = pick;
+        const double base = pick == bounce_a_ ? 110.0 : pick == bounce_b_ ? 190.0 : 250.0;
+        o.perf = {base + static_cast<double>(calls[i].src_as % 7), 0.5, 4.0};
+        policy.observe(o);
+      }
+      calls.clear();
+    };
     CallId id = 0;
     for (int day = 0; day < days; ++day) {
       for (AsId src = 1; src <= num_pairs; ++src) {
@@ -210,19 +237,10 @@ class BoundedPolicyTest : public ::testing::Test {
         // pairs stale (TTL food).
         if (src > num_pairs - day * 8) continue;
         const TimeSec t = static_cast<TimeSec>(day) * kSecondsPerDay + src;
-        const CallContext c = ctx(++id, src, t);
-        const OptionId pick = policy.choose(c);
-        choices.push_back(pick);
-        Observation o;
-        o.id = c.id;
-        o.time = t;
-        o.src_as = c.key_src;
-        o.dst_as = c.key_dst;
-        o.option = pick;
-        const double base = pick == bounce_a_ ? 110.0 : pick == bounce_b_ ? 190.0 : 250.0;
-        o.perf = {base + static_cast<double>(src % 7), 0.5, 4.0};
-        policy.observe(o);
+        calls.push_back(ctx(++id, src, t));
+        if (calls.size() >= batch) flush();
       }
+      flush();
       policy.refresh(static_cast<TimeSec>(day + 1) * kSecondsPerDay);
     }
     return choices;
@@ -270,6 +288,43 @@ TEST_F(BoundedPolicyTest, DeterministicReplayWithEvictionOn) {
   EXPECT_EQ(mem_a.window_evictions, mem_b.window_evictions);
   EXPECT_EQ(mem_a.store_evictions, mem_b.store_evictions);
   EXPECT_EQ(mem_a.resident_pairs, mem_b.resident_pairs);
+}
+
+TEST_F(BoundedPolicyTest, TinyMemoBudgetChoosesLikeUnbounded) {
+  // Warm decisions serve the memo view cached at arming; an over-budget
+  // pair's view lives in thread-local scratch and must never be cached, so
+  // it is rebuilt (and counted) on every touch.  The ring makes every
+  // decision read its top-k span, so a cached scratch view would also show
+  // under ASan.
+  ViaConfig tiny;
+  tiny.mem.snapshot_memo_budget = 2;
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
+    auto unbounded = make_policy(ViaConfig{});
+    auto bounded = make_policy(tiny);
+    obs::Telemetry unbounded_telemetry;
+    obs::Telemetry bounded_telemetry;
+    unbounded->attach_telemetry(&unbounded_telemetry);
+    bounded->attach_telemetry(&bounded_telemetry);
+    const auto expect = drive(*unbounded, 4, 40, batch);
+    EXPECT_EQ(drive(*bounded, 4, 40, batch), expect) << "batch " << batch;
+    EXPECT_EQ(unbounded->memory_stats().memo_overflow_builds, 0);
+    unbounded->attach_telemetry(nullptr);
+    bounded->attach_telemetry(nullptr);
+  }
+
+  // A fresh snapshot (refresh, no pre-warm) admits the first two pairs;
+  // the other eight overflow on each of three rounds of calls.
+  auto bounded = make_policy(tiny);
+  drive(*bounded, 3, 40);
+  ASSERT_EQ(bounded->memory_stats().memo_overflow_builds, 0);
+  CallId id = 100000;
+  for (int round = 0; round < 3; ++round) {
+    for (AsId src = 1; src <= 10; ++src) {
+      (void)bounded->choose(ctx(++id, src, 3 * kSecondsPerDay + round));
+    }
+  }
+  EXPECT_EQ(bounded->memory_stats().memo_overflow_builds, 8 * 3);
+  EXPECT_EQ(bounded->model()->pair_models_built(), 2u);
 }
 
 TEST_F(BoundedPolicyTest, UnboundedConfigNeverEvicts) {

@@ -16,6 +16,8 @@
 #include "rpc/server.h"
 #include "rpc/socket.h"
 
+#include "count_allocations.h"
+
 namespace via {
 namespace {
 
@@ -321,6 +323,104 @@ TEST(Controller, GetStatsReturnsServerTelemetry) {
   EXPECT_EQ(lat->count, 4);  // decide + three get_stats
   client.shutdown();
   server.stop();
+}
+
+TEST(Controller, SteadyStateDecisionAndReportAllocateNothing) {
+  FixedPolicy policy(1);
+  ControllerServer server(policy);
+  server.start();
+  obs::MetricsRegistry client_metrics;
+  ControllerClient client(server.port());
+  client.attach_metrics(&client_metrics);
+
+  DecisionRequest req;
+  req.options = {0, 1, 2, 3};
+  Observation obs;
+  obs.option = 1;
+  obs.perf = {100.0, 0.5, 2.0};
+  auto round = [&](CallId id) {
+    req.call_id = id;
+    EXPECT_EQ(client.request_decision(req), 1);
+    obs.id = id;
+    client.report(obs);
+  };
+  // The first round trips size the client's frame buffers.
+  round(1);
+  round(2);
+
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (CallId id = 3; id < 200; ++id) round(id);
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations, 0);
+  EXPECT_EQ(policy.chosen.load(), 199);
+  EXPECT_EQ(policy.observed.load(), 199);
+  client.shutdown();
+  server.stop();
+}
+
+TEST(Controller, ServerKeepsNoDecisionRingAndReasonCountersSumToDecisions) {
+  RelayOptionTable options;
+  std::vector<OptionId> candidates = {RelayOptionTable::direct_id()};
+  for (RelayId r = 0; r < 4; ++r) candidates.push_back(options.intern_bounce(r));
+  ViaConfig config;
+  config.epsilon = 0.2;  // mixed reasons: epsilon picks beside the bandit's
+  config.serving_stripes = 4;
+  ViaPolicy policy(options, [](RelayId, RelayId) { return PathPerformance{}; }, config);
+  ControllerServer server(policy);
+  server.start();
+
+  // Two clients interleave decisions and reports across two refreshes, so
+  // the policy serves cold, armed and re-armed pairs.
+  constexpr int kClients = 2;
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      ControllerClient client(server.port());
+      for (int day = 0; day < 3; ++day) {
+        for (int i = 0; i < 60; ++i) {
+          DecisionRequest req;
+          req.call_id = (c * 10 + day) * 1000 + i;
+          req.time = day * kSecondsPerDay + i;
+          req.src_as = static_cast<AsId>(1 + i % 6);
+          req.dst_as = static_cast<AsId>(50 + c);
+          req.options = candidates;
+          const OptionId pick = client.request_decision(req);
+          Observation obs;
+          obs.id = req.call_id;
+          obs.time = req.time;
+          obs.src_as = req.src_as;
+          obs.dst_as = req.dst_as;
+          obs.option = pick;
+          obs.perf = {pick == RelayOptionTable::direct_id() ? 300.0 : 90.0 + pick, 0.5, 3.0};
+          client.report(obs);
+        }
+        if (c == 0) client.refresh((day + 1) * kSecondsPerDay);
+      }
+      client.shutdown();
+    });
+  }
+  for (auto& t : threads) t.join();
+  server.stop();
+
+  const obs::DecisionTrace& ring = server.telemetry().decisions;
+  EXPECT_FALSE(ring.enabled());
+  EXPECT_EQ(ring.recorded(), 0);
+  EXPECT_TRUE(ring.snapshot().empty());
+
+  obs::MetricsRegistry& r = server.telemetry().registry;
+  const std::int64_t by_reason =
+      r.counter("policy.decision.ucb").value() +
+      r.counter("policy.decision.epsilon_explore").value() +
+      r.counter("policy.decision.budget_veto").value() +
+      r.counter("policy.decision.fallback_direct").value() +
+      r.counter("policy.decision.quarantined_relay").value() +
+      r.counter("policy.decision.fallback_direct_outage").value();
+  EXPECT_EQ(server.decisions_served(), kClients * 3 * 60);
+  EXPECT_EQ(by_reason, server.decisions_served());
+  EXPECT_GT(r.counter("policy.decision.ucb").value(), 0);
+  EXPECT_GT(r.counter("policy.decision.epsilon_explore").value(), 0);
+  EXPECT_EQ(server.reports_received(), kClients * 3 * 60);
 }
 
 TEST(Controller, DefaultConfigServesOnEpoll) {

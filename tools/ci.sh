@@ -11,8 +11,9 @@
 # reactor workers, and test_obs, whose decision-ring hammer records from
 # several threads) under ThreadSanitizer,
 # and VIA_CI_ASAN=1 to run the chaos/fault/RPC/federation tests, the
-# reactor and connection-buffer tests, and the hostile-bytes decoder
-# harness under ASan+UBSan;
+# reactor and connection-buffer tests, the hostile-bytes decoder harness,
+# and the concurrent-policy and memory-bound tests (warm decisions serve
+# memo spans whose lifetime is the pinned snapshot's) under ASan+UBSan;
 # the ASan stage dumps flight-recorder + span-buffer JSONL into
 # $BUILD_DIR-asan/flight-dump/ when a test fails (uploaded as CI artifacts).
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
@@ -84,10 +85,10 @@ if [[ "${VIA_CI_TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${VIA_CI_ASAN:-0}" == "1" ]]; then
-  echo "== asan: chaos + fault + rpc + federation + reactor + buffer + hostile-bytes tests under ASan+UBSan =="
+  echo "== asan: chaos + fault + rpc + federation + reactor + buffer + hostile-bytes + concurrent-policy + memory-bound tests under ASan+UBSan =="
   cmake -B "$BUILD_DIR-asan" -S . -DVIA_ASAN=ON
   cmake --build "$BUILD_DIR-asan" -j --target test_chaos test_faults test_rpc test_federation \
-    test_reactor test_conn_buffer test_hostile_bytes
+    test_reactor test_conn_buffer test_hostile_bytes test_concurrent_policy test_memory_bound
   # On failure each binary dumps its process-wide flight recorder and span
   # buffer as JSONL into this directory (tests/flight_dump.h); the GitHub
   # workflow uploads it as an artifact so a red chaos run is debuggable.
@@ -99,6 +100,8 @@ if [[ "${VIA_CI_ASAN:-0}" == "1" ]]; then
   "$BUILD_DIR-asan/tests/test_reactor"
   "$BUILD_DIR-asan/tests/test_conn_buffer"
   "$BUILD_DIR-asan/tests/test_hostile_bytes"
+  "$BUILD_DIR-asan/tests/test_concurrent_policy"
+  "$BUILD_DIR-asan/tests/test_memory_bound"
 fi
 
 echo "== ci.sh: all green =="
