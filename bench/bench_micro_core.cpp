@@ -172,10 +172,11 @@ BENCHMARK(BM_BanditPick);
 /// instrumented path and `health_enabled` toggles the relay-health filter,
 /// so the variants differ only in those attachments.
 void run_choose_per_call(benchmark::State& state, obs::Telemetry* telemetry,
-                         bool health_enabled = false) {
+                         bool health_enabled = false, std::size_t memo_budget = 0) {
   auto& gt = bench_gt();
   ViaConfig config;
   config.health.enabled = health_enabled;
+  config.mem.snapshot_memo_budget = memo_budget;
   ViaPolicy policy(gt.option_table(),
                    [&](RelayId a, RelayId b) { return gt.backbone(a, b); },
                    config);
@@ -218,6 +219,13 @@ void run_choose_per_call(benchmark::State& state, obs::Telemetry* telemetry,
 
 void BM_ViaChoosePerCall(benchmark::State& state) { run_choose_per_call(state, nullptr); }
 BENCHMARK(BM_ViaChoosePerCall);
+
+/// Every pair but one over a one-entry memo budget: each call rebuilds its
+/// pair's model in scratch (the §6i overflow path) and is never served warm.
+void BM_ViaChooseOverBudget(benchmark::State& state) {
+  run_choose_per_call(state, nullptr, false, /*memo_budget=*/1);
+}
+BENCHMARK(BM_ViaChooseOverBudget);
 
 void BM_ViaChoosePerCallTelemetry(benchmark::State& state) {
   obs::Telemetry telemetry;
@@ -743,6 +751,7 @@ int main(int argc, char** argv) {
   // ns/op for the decision-path hot loops (absent keys = benchmark filtered out).
   const std::map<std::string, std::string> tracked = {
       {"BM_ViaChoosePerCall", "choose_ns"},
+      {"BM_ViaChooseOverBudget", "choose_over_budget_ns"},
       {"BM_ViaChoosePerCallTelemetry", "choose_telemetry_ns"},
       {"BM_ViaChoosePerCallTraced", "choose_traced_ns"},
       {"BM_ChooseWithHealthFilter", "choose_health_ns"},

@@ -277,6 +277,12 @@ int main(int argc, char** argv) {
   json.set_int("scale_window_evictions", mem.window_evictions);
   json.set_int("scale_store_evictions", mem.store_evictions);
   json.set_int("scale_memo_overflow_builds", mem.memo_overflow_builds);
+  // Share of decisions served warm from the pair stripe (no snapshot
+  // lookup); the rest armed a pair or were over the memo budget.
+  json.set("scale_warm_frac",
+           stats.calls > 0 ? 1.0 - static_cast<double>(stats.snapshot_lookups) /
+                                     static_cast<double>(stats.calls)
+                           : 0.0);
   json.set_int("scale_rss_cap_mb", args.rss_cap_mb);
   const bool within_cap = peak_rss_kb >= 0 && peak_rss_mb <= static_cast<double>(args.rss_cap_mb);
   json.set_bool("scale_within_rss_cap", within_cap);

@@ -52,17 +52,20 @@ void ModelSnapshot::build_pair_model(const CallContext& call, std::vector<Predic
   }
 }
 
+std::optional<ModelSnapshot::PairView> ModelSnapshot::resident_view(std::uint64_t pair_key) const {
+  return pair_models_.with_shared(pair_key, [&](const FlatMap<PairModel>& map) {
+    const PairModel* model = map.find(pair_key);
+    return model == nullptr
+               ? std::nullopt
+               : std::optional<PairView>(PairView{model->top_k, model->predicted_benefit, true});
+  });
+}
+
 ModelSnapshot::PairView ModelSnapshot::pair_model(const CallContext& call,
                                                   PairBuildObserver* observer) const {
   const std::uint64_t key = call.pair_key();
+  if (const std::optional<PairView> hit = resident_view(key)) return *hit;
   PairView view;
-  const bool hit = pair_models_.with_shared(key, [&](const FlatMap<PairModel>& map) {
-    const PairModel* model = map.find(key);
-    if (model == nullptr) return false;
-    view = {model->top_k, model->predicted_benefit, true};
-    return true;
-  });
-  if (hit) return view;
 
   // Cold pair at an exhausted memo budget: build into thread-local scratch
   // and serve that — identical bits, no growth, rebuilt on each touch.

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -85,10 +86,15 @@ class ModelSnapshot {
   /// The pair's model, memoized on first touch (see file comment for why
   /// lazy fill keeps the snapshot logically immutable).  `observer` (may be
   /// null) fires only when this call actually built the entry.  ViaPolicy
-  /// calls it only to arm a pair for this snapshot (and on every call of
-  /// an over-budget pair); warm calls read the resident view that arming
+  /// calls it only to arm a pair the memo lacks (and on every call of an
+  /// over-budget pair); warm calls read the resident view that arming
   /// cached in the pair's PairServingState.
   [[nodiscard]] PairView pair_model(const CallContext& call, PairBuildObserver* observer) const;
+
+  /// The pair's memo entry if it is already resident; never builds.  One
+  /// shard read lock and a probe — cheap enough to run under a caller's
+  /// own lock (ViaPolicy arms memo-resident pairs under the stripe lock).
+  [[nodiscard]] std::optional<PairView> resident_view(std::uint64_t pair_key) const;
 
   /// Eagerly builds the per-pair memos for `calls` (DESIGN.md §6e): the
   /// refresh pipeline pre-warms the pairs that carried traffic last period

@@ -81,6 +81,10 @@ struct ServingStats {
   obs::Counter chose_direct;
   obs::Counter chose_bounce;
   obs::Counter chose_transit;
+  /// Decisions that asked the snapshot for the pair's model: arming a pair
+  /// for a new period, or an over-budget pair on every call.  The rest of
+  /// `calls` were served warm from the pair stripe alone.
+  obs::Counter snapshot_lookups;
 };
 
 class PairStateStore {

@@ -424,15 +424,23 @@ OptionId ViaPolicy::choose_with(const ModelSnapshot& snap, const CallContext& ca
     // decision writes nothing outside this stripe (and the counters).
     pair = state->view;
   } else {
-    // Arming (or an over-budget pair): a cold memo build is the costly
-    // part, so it runs outside the stripe lock; the period is checked
-    // again once the lock is back, and the state looked up again because
-    // the stripe's table may have rehashed meanwhile.
-    lock.unlock();
-    pair = snap.pair_model(call, this);
+    // Arming, or an over-budget pair.  A view the memo already holds
+    // (pre-warmed, or built by an earlier call) is read under the stripe
+    // lock: one critical section, as before warm serving.  Anything else
+    // is built outside the stripe lock; once the lock is back the state
+    // is looked up again (the stripe's table may have rehashed meanwhile)
+    // and its period checked again.
+    stats.snapshot_lookups.inc();
+    if (const std::optional<ModelSnapshot::PairView> resident = snap.resident_view(key)) {
+      pair = *resident;
+    } else {
+      lock.unlock();
+      pair = snap.pair_model(call, this);
+      lock.lock();
+      state = nullptr;
+    }
     span.stage("snapshot_topk");
-    lock.lock();
-    state = &stripe.pairs[key];
+    if (state == nullptr) state = &stripe.pairs[key];
     if (state->period != snap.period()) {
       // Surviving arms keep decayed statistics from the adjacent period.
       const bool adjacent_period = (state->period + 1 == snap.period());
@@ -622,6 +630,7 @@ ViaPolicy::Stats ViaPolicy::stats() const noexcept {
   out.chose_direct = s.chose_direct.value();
   out.chose_bounce = s.chose_bounce.value();
   out.chose_transit = s.chose_transit.value();
+  out.snapshot_lookups = s.snapshot_lookups.value();
   return out;
 }
 

@@ -186,6 +186,10 @@ class ViaPolicy final : public RoutingPolicy, private PairBuildObserver {
     std::int64_t chose_direct = 0;
     std::int64_t chose_bounce = 0;
     std::int64_t chose_transit = 0;
+    /// Decisions not served warm: they asked the snapshot for the pair's
+    /// model (arming, or an over-budget pair).  calls - snapshot_lookups
+    /// is the warm count.
+    std::int64_t snapshot_lookups = 0;
   };
   /// A consistent-enough snapshot of the relaxed atomic counters (exact
   /// once concurrent callers have quiesced).
@@ -293,8 +297,10 @@ class ViaPolicy final : public RoutingPolicy, private PairBuildObserver {
   /// choose() against an already-pinned snapshot — the shared body of
   /// choose() and choose_batch().  A pair already armed for `snap` is
   /// served from its PairServingState alone (warm path: one stripe lock,
-  /// no memo probe); otherwise the pair's model is fetched from `snap`
-  /// outside the stripe lock and the pair is armed under it.
+  /// no memo probe).  Otherwise it is armed under the stripe lock from
+  /// the memo's resident view, or — when the memo lacks one — from a view
+  /// built outside the stripe lock.  stats().snapshot_lookups counts
+  /// those non-warm calls.
   [[nodiscard]] OptionId choose_with(const ModelSnapshot& snap, const CallContext& call);
 
   /// The published snapshot via a thread-local pin revalidated against

@@ -7,6 +7,7 @@
 
 #include "common/relay_option.h"
 #include "obs/timer.h"
+#include "rpc/conn_buffer.h"
 #include "util/rng.h"
 
 namespace via {
@@ -146,12 +147,18 @@ void ControllerClient::attempt(MsgType type, MsgType expected) {
   }
 }
 
-const Frame& ControllerClient::round_trip(MsgType type, MsgType expected) {
+void ControllerClient::release_oversized_buffers() noexcept {
+  // Assigning a fresh vector frees the heap block; clear() would keep it.
+  if (tx_.capacity() > kRetainCapacity) tx_ = std::vector<std::byte>();
+  if (rx_.payload.capacity() > kRetainCapacity) rx_.payload = std::vector<std::byte>();
+}
+
+void ControllerClient::exchange(MsgType type, MsgType expected) {
   const obs::ScopedTimer timer(tel_request_us_);
   for (int attempt_index = 0;; ++attempt_index) {
     try {
       attempt(type, expected);
-      return rx_;
+      return;
     } catch (const RpcError& e) {
       note_error(e.kind());
       // Timeout/reset poison the stream (a late response would arrive as
@@ -169,13 +176,23 @@ const Frame& ControllerClient::round_trip(MsgType type, MsgType expected) {
   }
 }
 
+template <typename Decode>
+decltype(auto) ControllerClient::round_trip(MsgType type, MsgType expected, Decode&& decode) {
+  struct Release {
+    ControllerClient& client;
+    ~Release() { client.release_oversized_buffers(); }
+  } const release{*this};
+  exchange(type, expected);
+  WireReader r(rx_.payload);
+  return decode(r);
+}
+
 OptionId ControllerClient::request_decision(const DecisionRequest& request) {
   WireWriter w = begin_request();
   request.encode(w);
   try {
-    const Frame& frame = round_trip(MsgType::DecisionRequest, MsgType::DecisionResponse);
-    WireReader r(frame.payload);
-    const DecisionResponse resp = DecisionResponse::decode(r);
+    const DecisionResponse resp = round_trip(MsgType::DecisionRequest, MsgType::DecisionResponse,
+                                             &DecisionResponse::decode);
     if (resp.call_id != request.call_id) {
       throw RpcError(RpcErrorKind::Protocol, "response call-id mismatch");
     }
@@ -204,28 +221,27 @@ OptionId ControllerClient::request_decision(const DecisionRequest& request) {
 void ControllerClient::report(const Observation& obs) {
   WireWriter w = begin_request();
   ReportMsg{obs}.encode(w);
-  (void)round_trip(MsgType::Report, MsgType::ReportAck);
+  round_trip(MsgType::Report, MsgType::ReportAck, [](WireReader&) {});
 }
 
 void ControllerClient::refresh(TimeSec now) {
   WireWriter w = begin_request();
   RefreshMsg{now}.encode(w);
-  (void)round_trip(MsgType::Refresh, MsgType::RefreshAck);
+  round_trip(MsgType::Refresh, MsgType::RefreshAck, [](WireReader&) {});
 }
 
 std::string ControllerClient::get_stats(obs::StatsFormat format) {
   WireWriter w = begin_request();
   StatsRequest{static_cast<std::uint8_t>(format)}.encode(w);
-  WireReader r(round_trip(MsgType::GetStats, MsgType::GetStatsResponse).payload);
-  StatsResponse resp = StatsResponse::decode(r);
+  StatsResponse resp =
+      round_trip(MsgType::GetStats, MsgType::GetStatsResponse, &StatsResponse::decode);
   last_replica_id_ = resp.replica_id;
   return std::move(resp.text);
 }
 
 PongMsg ControllerClient::ping() {
   begin_frame(tx_);  // Ping has no payload
-  WireReader r(round_trip(MsgType::Ping, MsgType::Pong).payload);
-  const PongMsg pong = PongMsg::decode(r);
+  const PongMsg pong = round_trip(MsgType::Ping, MsgType::Pong, &PongMsg::decode);
   last_replica_id_ = pong.replica_id;
   if (pong.ring_epoch != 0) last_ring_epoch_ = pong.ring_epoch;
   return pong;
@@ -234,29 +250,28 @@ PongMsg ControllerClient::ping() {
 GossipSegmentsAckMsg ControllerClient::gossip_segments(const GossipSegmentsMsg& msg) {
   WireWriter w = begin_request();
   msg.encode(w);
-  WireReader r(round_trip(MsgType::GossipSegments, MsgType::GossipSegmentsAck).payload);
-  return GossipSegmentsAckMsg::decode(r);
+  return round_trip(MsgType::GossipSegments, MsgType::GossipSegmentsAck,
+                    &GossipSegmentsAckMsg::decode);
 }
 
 std::string ControllerClient::get_trace(std::uint32_t max_bytes) {
   WireWriter w = begin_request();
   DumpRequest{max_bytes}.encode(w);
-  WireReader r(round_trip(MsgType::GetTrace, MsgType::GetTraceResponse).payload);
-  return StatsResponse::decode(r).text;
+  return round_trip(MsgType::GetTrace, MsgType::GetTraceResponse, &StatsResponse::decode).text;
 }
 
 std::string ControllerClient::get_flight_record(std::uint32_t max_bytes) {
   WireWriter w = begin_request();
   DumpRequest{max_bytes}.encode(w);
-  WireReader r(round_trip(MsgType::GetFlightRecord, MsgType::GetFlightRecordResponse).payload);
-  return StatsResponse::decode(r).text;
+  return round_trip(MsgType::GetFlightRecord, MsgType::GetFlightRecordResponse,
+                    &StatsResponse::decode)
+      .text;
 }
 
 void ControllerClient::shutdown() {
   if (conn_ != nullptr && conn_->valid()) {
     try {
-      begin_frame(tx_);
-      send_framed(*conn_, static_cast<std::uint8_t>(MsgType::Shutdown), tx_);
+      send_frame(*conn_, static_cast<std::uint8_t>(MsgType::Shutdown), {});
     } catch (const std::exception&) {
       // Best effort: the server reaps the connection either way.
     }

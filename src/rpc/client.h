@@ -105,6 +105,13 @@ class ControllerClient {
   /// Politely ends the session (best-effort; never throws).
   void shutdown();
 
+  /// Heap bytes held by the reused request and reply buffers.  Between
+  /// requests each holds at most kRetainCapacity (conn_buffer.h): a frame
+  /// that grew one past it is released once its request completes.
+  [[nodiscard]] std::size_t buffer_bytes() const noexcept {
+    return tx_.capacity() + rx_.payload.capacity();
+  }
+
   [[nodiscard]] const ClientConfig& config() const noexcept { return config_; }
   /// Degradation accounting, readable without a metrics registry.
   [[nodiscard]] std::int64_t retries() const noexcept { return retries_; }
@@ -121,13 +128,18 @@ class ControllerClient {
   /// Starts the next request frame in tx_ and returns a writer appending
   /// its payload there.
   [[nodiscard]] WireWriter begin_request();
-  /// Sends the frame in tx_ and waits for the expected response type under
-  /// the configured deadline/retry policy, recording latency/bytes/errors
-  /// when metrics are attached.  The reply is rx_, valid until the next
-  /// request.
-  const Frame& round_trip(MsgType type, MsgType expected);
+  /// exchange(), then returns `decode(WireReader&)` over the reply's
+  /// payload.  Either buffer grown past kRetainCapacity is released
+  /// afterwards, whether the request succeeded or threw.
+  template <typename Decode>
+  decltype(auto) round_trip(MsgType type, MsgType expected, Decode&& decode);
+  /// Sends the frame in tx_ and waits for the expected response type (into
+  /// rx_) under the configured deadline/retry policy, recording
+  /// latency/bytes/errors when metrics are attached.
+  void exchange(MsgType type, MsgType expected);
   /// One attempt; every failure surfaces as a typed RpcError.
   void attempt(MsgType type, MsgType expected);
+  void release_oversized_buffers() noexcept;
   void ensure_connected();
   void note_error(RpcErrorKind kind);
   void backoff_sleep(int attempt_index);
@@ -137,8 +149,7 @@ class ControllerClient {
   std::unique_ptr<TcpConnection> conn_;
   /// The request frame being sent (header + payload) and the last reply,
   /// both reused across requests so a steady-state decision or report
-  /// allocates nothing.  Each keeps the capacity of the largest frame it
-  /// has held (at most one kMaxPayload frame).
+  /// allocates nothing (see buffer_bytes() for what they may keep).
   std::vector<std::byte> tx_;
   Frame rx_;
   bool ever_connected_ = false;

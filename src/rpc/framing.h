@@ -155,8 +155,9 @@ void begin_frame(std::vector<std::byte>& frame);
 /// error or an oversized payload.
 void send_framed(TcpConnection& conn, std::uint8_t type, std::vector<std::byte>& frame);
 
-/// Sends one frame from a separate payload (one-off senders and tests; it
-/// copies into a fresh buffer).  Throws on I/O error.
+/// Sends one frame from a separate payload through begin_frame() and
+/// send_framed(), copying it into a fresh buffer: for one-off frames (a
+/// client's Shutdown) and raw-socket tests.  Throws on I/O error.
 void send_frame(TcpConnection& conn, std::uint8_t type, std::span<const std::byte> payload);
 
 /// Receives one frame.  Returns false on clean EOF before a frame starts;

@@ -317,6 +317,7 @@ TEST_F(BoundedPolicyTest, TinyMemoBudgetChoosesLikeUnbounded) {
   auto bounded = make_policy(tiny);
   drive(*bounded, 3, 40);
   ASSERT_EQ(bounded->memory_stats().memo_overflow_builds, 0);
+  const ViaPolicy::Stats before = bounded->stats();
   CallId id = 100000;
   for (int round = 0; round < 3; ++round) {
     for (AsId src = 1; src <= 10; ++src) {
@@ -325,6 +326,11 @@ TEST_F(BoundedPolicyTest, TinyMemoBudgetChoosesLikeUnbounded) {
   }
   EXPECT_EQ(bounded->memory_stats().memo_overflow_builds, 8 * 3);
   EXPECT_EQ(bounded->model()->pair_models_built(), 2u);
+  // Round one arms all ten pairs; afterwards only the two resident pairs
+  // are served warm, the eight over-budget ones ask the snapshot each call.
+  const ViaPolicy::Stats after = bounded->stats();
+  EXPECT_EQ(after.calls - before.calls, 30);
+  EXPECT_EQ(after.snapshot_lookups - before.snapshot_lookups, 10 + 8 * 2);
 }
 
 TEST_F(BoundedPolicyTest, UnboundedConfigNeverEvicts) {

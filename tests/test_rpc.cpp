@@ -11,6 +11,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "rpc/client.h"
+#include "rpc/conn_buffer.h"
 #include "rpc/framing.h"
 #include "rpc/messages.h"
 #include "rpc/server.h"
@@ -357,6 +358,46 @@ TEST(Controller, SteadyStateDecisionAndReportAllocateNothing) {
   EXPECT_EQ(policy.observed.load(), 199);
   client.shutdown();
   server.stop();
+}
+
+TEST(Controller, ClientReleasesBuffersGrownByLargeFrames) {
+  // A scripted peer: acks one large gossip push, then answers a stats
+  // request with a large dump, so the request and then the reply buffer
+  // each grow past kRetainCapacity for one exchange.
+  constexpr std::size_t kBigText = 4 * kRetainCapacity;
+  TcpListener listener(0);
+  std::size_t gossip_bytes = 0;
+  std::thread peer([&] {
+    TcpConnection conn = listener.accept();
+    Frame frame;
+    ASSERT_TRUE(recv_frame(conn, frame));
+    ASSERT_EQ(frame.type, static_cast<std::uint8_t>(MsgType::GossipSegments));
+    gossip_bytes = frame.payload.size();
+    WireWriter ack;
+    GossipSegmentsAckMsg{7, 1, 0}.encode(ack);
+    send_frame(conn, static_cast<std::uint8_t>(MsgType::GossipSegmentsAck), ack.bytes());
+    ASSERT_TRUE(recv_frame(conn, frame));
+    ASSERT_EQ(frame.type, static_cast<std::uint8_t>(MsgType::GetStats));
+    WireWriter dump;
+    StatsResponse{std::string(kBigText, 'x'), 7}.encode(dump);
+    send_frame(conn, static_cast<std::uint8_t>(MsgType::GetStatsResponse), dump.bytes());
+  });
+
+  ControllerClient client(listener.port());
+  GossipSegmentsMsg msg;
+  msg.replica_id = 1;
+  msg.ring_epoch = 1;
+  msg.segments.resize(4096);
+  for (std::size_t i = 0; i < msg.segments.size(); ++i) msg.segments[i].key = i;
+  // Each exchange's other buffer held a few bytes, so releasing the grown
+  // one leaves the pair well under one kRetainCapacity.
+  EXPECT_EQ(client.gossip_segments(msg).replica_id, 7u);
+  EXPECT_LT(client.buffer_bytes(), kRetainCapacity);
+  EXPECT_EQ(client.get_stats().size(), kBigText);
+  EXPECT_LT(client.buffer_bytes(), kRetainCapacity);
+  peer.join();
+  EXPECT_GT(gossip_bytes, 2 * kRetainCapacity);
+  client.shutdown();
 }
 
 TEST(Controller, ServerKeepsNoDecisionRingAndReasonCountersSumToDecisions) {
