@@ -1,8 +1,8 @@
 // via_call_client — command-line client for a running via_controller.
 //
-//   via_call_client --port N decide --call ID --time T --src AS --dst AS \
+//   via_call_client --port N decide --call ID --time T --src AS --dst AS
 //                   --options 0,1,2,...
-//   via_call_client --port N report --call ID --time T --src AS --dst AS \
+//   via_call_client --port N report --call ID --time T --src AS --dst AS
 //                   --option OPT [--ingress R] --rtt MS --loss PCT --jitter MS
 //   via_call_client --port N refresh --time T
 //   via_call_client --port N stats [--format table|json|prom]

@@ -23,10 +23,11 @@ HistoryAddResult HistoryWindow::add(const Observation& obs) {
   entry.ref = 1;
   std::array<double, kNumMetrics> raw{};
   std::array<double, kNumMetrics> lin{};
-  for (const Metric m : kAllMetrics) {
+  for (std::size_t i = 0; i < kNumMetrics; ++i) {
+    const Metric m = kAllMetrics[i];
     const double v = obs.perf.get(m);
-    raw[metric_index(m)] = v;
-    lin[metric_index(m)] = linearize(m, v);
+    raw[i] = v;
+    lin[i] = linearize(m, v);
   }
   entry.agg.accumulate(raw, lin);
   if (obs.ingress >= 0) {

@@ -67,7 +67,11 @@ struct RunConfig {
   /// obs::MetricsRegistry::process() so bench binaries can report a
   /// session-wide summary.
   bool enable_telemetry = true;
-  std::size_t decision_trace_capacity = 4096;
+  /// Decision-event ring (obs::DecisionTrace) capacity; 0 (the default)
+  /// keeps no events, so RunResult::decisions stays empty.  The reason and
+  /// choice counters, engine.choose_ns and the flight recorder do not
+  /// depend on it.  Set it when the caller reads the events.
+  std::size_t decision_trace_capacity = 0;
   /// Request tracing (§6g): sample_rate 0 (the default) disables it and
   /// the replay is bit-identical to an untraced run; nonzero records 1 in
   /// N decision traces into RunResult::spans.
@@ -108,6 +112,7 @@ struct RunResult {
   /// Telemetry captured at the end of the run (empty when disabled):
   /// registry snapshot plus the resident tail of the decision trace.
   obs::MetricsSnapshot telemetry;
+  /// Resident decision events; empty unless decision_trace_capacity > 0.
   std::vector<obs::DecisionEvent> decisions;
   /// §6g observability captures (each empty unless its RunConfig knob
   /// enabled it): windowed counter/histogram deltas, sampled spans, and

@@ -396,6 +396,7 @@ class FaultedEngineTest : public ::testing::Test {
     RunConfig run;
     run.background_relay_fraction = 0.0;
     run.faults = faults;
+    run.decision_trace_capacity = 4096;  // the outage test reads the events
     ViaConfig via;
     via.seed = 42;
     if (health) {

@@ -112,7 +112,9 @@ TEST_F(IntegrationTest, TomographyAblationMattersForCoverage) {
 
 TEST_F(IntegrationTest, TelemetryAccountsForEveryRoutedCall) {
   auto via_policy = exp().make_via(Metric::Rtt);
-  const RunResult r = exp().run(*via_policy);
+  RunConfig config;
+  config.decision_trace_capacity = 4096;
+  const RunResult r = exp().run(*via_policy, config);
 
   // Every policy-routed call must carry exactly one decision reason; the
   // background-relay counter covers the rest of the arrivals.

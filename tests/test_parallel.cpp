@@ -283,14 +283,27 @@ TEST(DecisionTraceGating, DisabledRingKeepsCountersDropsEvents) {
 
   auto p1 = exp.make_via(Metric::Rtt);
   auto p2 = exp.make_via(Metric::Rtt);
+  auto p3 = exp.make_via(Metric::Rtt);
   const RunResult ringed = exp.run(*p1, with_ring);
   const RunResult ringless = exp.run(*p2, no_ring);
+  const RunResult by_default = exp.run(*p3, RunConfig{});
 
   EXPECT_GT(ringed.decisions.size(), 0U);
   EXPECT_EQ(ringless.decisions.size(), 0U);
+  EXPECT_EQ(by_default.decisions.size(), 0U);
   // Disabling the ring must not change routing or the reason tallies.
   EXPECT_EQ(ringed.pnr.pnr_any(), ringless.pnr.pnr_any());
+  EXPECT_EQ(ringed.pnr.pnr_any(), by_default.pnr.pnr_any());
   expect_same_counters(ringed, ringless);
+  expect_same_counters(ringed, by_default);
+  // Every policy-routed call still carries exactly one reason.
+  const std::int64_t reason_sum =
+      by_default.telemetry.counter_value("policy.decision.ucb") +
+      by_default.telemetry.counter_value("policy.decision.epsilon_explore") +
+      by_default.telemetry.counter_value("policy.decision.budget_veto") +
+      by_default.telemetry.counter_value("policy.decision.fallback_direct");
+  EXPECT_GT(reason_sum, 0);
+  EXPECT_EQ(reason_sum, p3->stats().calls);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (full build + ctest), a strict
-# -Wall -Wextra -Werror compile of the telemetry subsystem and its tests,
+# -Wall -Wextra -Werror compile of every target,
 # a build of the controller benchmark (ctlbench/) plus its self-tests,
 # and a Release (-O2 -DNDEBUG) bench smoke that emits BENCH_core.json and
 # gates it against bench/thresholds.json (failing, tools/check_bench.py;
@@ -27,9 +27,12 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== strict: -Werror build of the obs subsystem =="
+echo "== strict: -Werror build of every target =="
+# At the default RelWithDebInfo.  A Release -Werror build still trips GCC
+# 12's -Wrestrict inside std::string (in via_obs), so this stage does not
+# set a build type.
 cmake -B "$BUILD_DIR-werror" -S . -DVIA_WERROR=ON
-cmake --build "$BUILD_DIR-werror" -j --target via_obs test_obs
+cmake --build "$BUILD_DIR-werror" -j
 
 echo "== ctlbench: build ctl_bench + self-tests =="
 cmake -S ctlbench -B .bench_build/ctlbench
