@@ -33,7 +33,7 @@ int main() {
           break;
         }
       }
-      table.row().cell("p" + format_double(pct, 0)).cell(value, 2);
+      table.row().cell(std::string("p").append(format_double(pct, 0))).cell(value, 2);
     }
     table.print(std::cout);
     const double frac_poor = 1.0 - cdf_fraction_at(cdf, thresholds.get(m));

@@ -33,7 +33,9 @@ int main() {
                                 std::to_string(setup.trace.days) + "-day horizon)");
     TextTable table({"CDF point", "median best-option duration (days)"});
     for (const double pct : {10.0, 25.0, 50.0, 75.0, 90.0}) {
-      table.row().cell("p" + format_double(pct, 0)).cell(percentile_sorted(durations, pct), 1);
+      table.row()
+          .cell(std::string("p").append(format_double(pct, 0)))
+          .cell(percentile_sorted(durations, pct), 1);
     }
     table.print(std::cout);
     const double n = static_cast<double>(durations.size());

@@ -246,7 +246,7 @@ BENCHMARK(BM_ChooseWithHealthFilter);
 /// variant — amortized sampling branch + the occasional StagedSpan emit —
 /// is exported as trace_overhead_ns and pinned in bench/thresholds.json.
 void BM_ViaChoosePerCallTraced(benchmark::State& state) {
-  obs::Telemetry telemetry(4096, obs::TraceConfig{.sample_rate = 64, .buffer_capacity = 4096});
+  obs::Telemetry telemetry(4096, obs::TraceConfig{.sample_rate = 64});
   run_choose_per_call(state, &telemetry);
   telemetry.registry.merge_into(obs::MetricsRegistry::process());
 }

@@ -1,6 +1,10 @@
 #include "obs/export.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -26,7 +30,64 @@ void json_number(std::ostream& os, double v) {
   }
 }
 
+/// Index one past the string that opens at text[open] (a '"'), honoring
+/// backslash escapes; npos when the string never closes.
+std::size_t skip_string(std::string_view text, std::size_t open) {
+  for (std::size_t i = open + 1; i < text.size(); ++i) {
+    if (text[i] == '\\') {
+      ++i;
+    } else if (text[i] == '"') {
+      return i + 1;
+    }
+  }
+  return std::string_view::npos;
+}
+
 }  // namespace
+
+std::optional<std::string_view> json_field(std::string_view line, std::string_view key) {
+  std::size_t i = 0;
+  while (i < line.size()) {
+    if (line[i] != '"') {
+      ++i;
+      continue;
+    }
+    const std::size_t end = skip_string(line, i);
+    if (end == std::string_view::npos) return std::nullopt;
+    if (end < line.size() && line[end] == ':' && line.substr(i + 1, end - i - 2) == key) {
+      std::size_t v = end + 1;
+      while (v < line.size() && line[v] != ',' && line[v] != '}') {
+        v = line[v] == '"' ? std::min(skip_string(line, v), line.size()) : v + 1;
+      }
+      return line.substr(end + 1, v - end - 1);
+    }
+    i = end;
+  }
+  return std::nullopt;
+}
+
+std::optional<double> json_double(std::string_view line, std::string_view key) {
+  const std::optional<std::string_view> raw = json_field(line, key);
+  if (!raw) return std::nullopt;
+  if (*raw == "null") return std::numeric_limits<double>::quiet_NaN();
+  // std::from_chars for doubles is missing on some libstdc++ versions the
+  // toolchain matrix covers, so go through strtod with a bounded copy.
+  std::array<char, 64> buf{};
+  if (raw->empty() || raw->size() >= buf.size()) return std::nullopt;
+  raw->copy(buf.data(), raw->size());
+  char* end = nullptr;
+  const double v = std::strtod(buf.data(), &end);
+  if (end != buf.data() + raw->size()) return std::nullopt;
+  return v;
+}
+
+std::optional<std::string> json_string(std::string_view line, std::string_view key) {
+  const std::optional<std::string_view> raw = json_field(line, key);
+  if (!raw || raw->empty() || raw->front() != '"' || skip_string(*raw, 0) != raw->size()) {
+    return std::nullopt;
+  }
+  return json_unescape(raw->substr(1, raw->size() - 2));
+}
 
 std::string json_escape(std::string_view s) {
   std::string out;

@@ -1,9 +1,8 @@
 #include "obs/flight_recorder.h"
 
-#include <algorithm>
-#include <charconv>
+#include <atomic>
 #include <chrono>
-#include <ostream>
+#include <utility>
 
 #include "obs/export.h"
 
@@ -30,40 +29,6 @@ constexpr std::string_view kKindNames[kNumFlightEventKinds] = {
     "note",              "backpressure_pause", "backpressure_resume",
     "replica_down",      "replica_rehomed",  "replica_recovered",  "ring_epoch_bump",
 };
-
-/// Finds `"key":` and returns the raw value text (up to the next ',' or
-/// '}' outside a string), honoring backslash escapes inside strings.
-std::optional<std::string_view> raw_value(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::string_view rest = line.substr(pos + needle.size());
-  std::size_t end = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (; end < rest.size(); ++end) {
-    const char c = rest[end];
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (in_string && c == '\\') {
-      escaped = true;
-      continue;
-    }
-    if (c == '"') in_string = !in_string;
-    if (!in_string && (c == ',' || c == '}')) break;
-  }
-  return rest.substr(0, end);
-}
-
-template <typename T>
-std::optional<T> parse_int(std::string_view raw) {
-  T v{};
-  const auto [ptr, ec] = std::from_chars(raw.data(), raw.data() + raw.size(), v);
-  if (ec != std::errc{} || ptr != raw.data() + raw.size()) return std::nullopt;
-  return v;
-}
 
 }  // namespace
 
@@ -101,32 +66,16 @@ std::string FlightEvent::to_jsonl() const {
 }
 
 std::optional<FlightEvent> FlightEvent::from_jsonl(std::string_view line) {
-  const auto seq_raw = raw_value(line, "seq");
-  const auto wall_raw = raw_value(line, "wall_us");
-  const auto time_raw = raw_value(line, "time");
-  const auto kind_raw = raw_value(line, "kind");
-  const auto detail_raw = raw_value(line, "detail");
-  const auto a_raw = raw_value(line, "a");
-  const auto b_raw = raw_value(line, "b");
-  if (!seq_raw || !wall_raw || !time_raw || !kind_raw || !detail_raw || !a_raw || !b_raw) {
+  const auto seq_v = json_int<std::int64_t>(line, "seq");
+  const auto wall_v = json_int<std::int64_t>(line, "wall_us");
+  const auto time_v = json_int<TimeSec>(line, "time");
+  const auto kind_name = json_string(line, "kind");
+  auto detail = json_string(line, "detail");
+  const auto a_v = json_int<std::int64_t>(line, "a");
+  const auto b_v = json_int<std::int64_t>(line, "b");
+  if (!seq_v || !wall_v || !time_v || !kind_name || !detail || !a_v || !b_v) {
     return std::nullopt;
   }
-  const auto seq_v = parse_int<std::int64_t>(*seq_raw);
-  const auto wall_v = parse_int<std::int64_t>(*wall_raw);
-  const auto time_v = parse_int<TimeSec>(*time_raw);
-  const auto a_v = parse_int<std::int64_t>(*a_raw);
-  const auto b_v = parse_int<std::int64_t>(*b_raw);
-  if (!seq_v || !wall_v || !time_v || !a_v || !b_v) return std::nullopt;
-
-  auto unquote = [](std::string_view s) -> std::optional<std::string_view> {
-    if (s.size() < 2 || s.front() != '"' || s.back() != '"') return std::nullopt;
-    s.remove_prefix(1);
-    s.remove_suffix(1);
-    return s;
-  };
-  const auto kind_name = unquote(*kind_raw);
-  const auto detail_quoted = unquote(*detail_raw);
-  if (!kind_name || !detail_quoted) return std::nullopt;
   const auto kind_v = flight_event_kind_from(*kind_name);
   if (!kind_v) return std::nullopt;
 
@@ -135,19 +84,15 @@ std::optional<FlightEvent> FlightEvent::from_jsonl(std::string_view line) {
   e.wall_us = *wall_v;
   e.time = *time_v;
   e.kind = *kind_v;
-  e.detail = json_unescape(*detail_quoted);
+  e.detail = std::move(*detail);
   e.a = *a_v;
   e.b = *b_v;
   return e;
 }
 
-FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity) {
-  ring_.reserve(std::min<std::size_t>(capacity_, 1024));
-}
-
 void FlightRecorder::record(FlightEventKind kind, std::string_view detail, std::int64_t a,
                             std::int64_t b, TimeSec time) {
-  if (capacity_ == 0) return;
+  if (!ring_.enabled()) return;
   FlightEvent event;
   event.seq = global_seq().fetch_add(1, std::memory_order_relaxed) + 1;
   event.wall_us = wall_us_now();
@@ -156,55 +101,7 @@ void FlightRecorder::record(FlightEventKind kind, std::string_view detail, std::
   event.detail = std::string(detail);
   event.a = a;
   event.b = b;
-  store(event);
-  // Mirror (with the same seq) into the process-wide recorder so a single
-  // dump totally orders events from every component.
-  FlightRecorder& proc = process();
-  if (this != &proc && proc.enabled()) proc.store(event);
-}
-
-void FlightRecorder::store(const FlightEvent& event) {
-  const std::lock_guard lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(event);
-  } else {
-    ring_[next_] = event;
-    next_ = (next_ + 1) % capacity_;
-  }
-  ++recorded_;
-}
-
-std::vector<FlightEvent> FlightRecorder::snapshot() const {
-  std::vector<FlightEvent> out;
-  {
-    const std::lock_guard lock(mutex_);
-    out.reserve(ring_.size());
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_), ring_.end());
-    out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(next_));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FlightEvent& x, const FlightEvent& y) { return x.seq < y.seq; });
-  return out;
-}
-
-void FlightRecorder::export_jsonl(std::ostream& os) const {
-  for (const FlightEvent& e : snapshot()) os << e.to_jsonl() << '\n';
-}
-
-std::int64_t FlightRecorder::recorded() const {
-  const std::lock_guard lock(mutex_);
-  return recorded_;
-}
-
-void FlightRecorder::clear() {
-  const std::lock_guard lock(mutex_);
-  ring_.clear();
-  next_ = 0;
-}
-
-FlightRecorder& FlightRecorder::process() {
-  static FlightRecorder instance(8192);
-  return instance;
+  ring_.add(event);
 }
 
 }  // namespace via::obs

@@ -2,26 +2,26 @@
 // happened" events — health-state transitions, RPC errors/retries/
 // fallbacks, refresh prepare/commit ticks, shed and drain actions — kept
 // resident so the seconds *before* a failure can be reconstructed after
-// the fact.  Events are rare by construction (no per-call producers), so
-// recording is a mutex-protected ring insert, and every recorder mirrors
-// into a process-wide ring whose global sequence numbers give one total
-// order across client, server, and policy recorders.
+// the fact.  Events are rare by construction (no per-call producers).  They
+// live in the telemetry EventRing, bounded per recording thread, and every
+// recorder mirrors into FlightRing::process(), whose global sequence
+// numbers give one total order across client, server, and policy
+// recorders.
 //
 // Dumps are JSONL (one self-contained object per line) parseable back via
 // FlightEvent::from_jsonl, written on demand (GetFlightRecord RPC, admin
 // HTTP), on fault (test failure listeners), or at exit (--flight-recorder).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/types.h"
+#include "obs/event_ring.h"
 
 namespace via::obs {
 
@@ -72,39 +72,39 @@ struct FlightEvent {
   [[nodiscard]] static std::optional<FlightEvent> from_jsonl(std::string_view line);
 };
 
-/// Bounded, thread-safe event ring.  Capacity 0 disables recording (and
-/// the process mirror) for this instance.
+/// Flight snapshot order: by global sequence number.
+struct FlightSeqOrder {
+  [[nodiscard]] bool operator()(const FlightEvent& x, const FlightEvent& y) const noexcept {
+    return x.seq < y.seq;
+  }
+};
+
+using FlightRing = EventRing<FlightEvent, FlightSeqOrder>;
+
+/// record() stamps each event and adds it to a FlightRing that mirrors
+/// into FlightRing::process().  Capacity 0 disables recording (and the
+/// process mirror) for this instance.
 class FlightRecorder {
  public:
-  explicit FlightRecorder(std::size_t capacity = 4096);
+  explicit FlightRecorder(std::size_t capacity = kEventRingCapacity)
+      : ring_(capacity, &FlightRing::process()) {}
 
-  [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
+  [[nodiscard]] bool enabled() const noexcept { return ring_.enabled(); }
 
+  /// Stamps `seq` (process-global) and `wall_us`, then records the event.
   void record(FlightEventKind kind, std::string_view detail = {}, std::int64_t a = -1,
               std::int64_t b = -1, TimeSec time = -1);
 
   /// Resident events in sequence order (oldest first).
-  [[nodiscard]] std::vector<FlightEvent> snapshot() const;
+  [[nodiscard]] std::vector<FlightEvent> snapshot() const { return ring_.snapshot(); }
 
   /// Writes the resident events as JSONL, oldest first.
-  void export_jsonl(std::ostream& os) const;
+  void export_jsonl(std::ostream& os) const { ring_.export_jsonl(os); }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::int64_t recorded() const;  ///< total ever recorded
-
-  void clear();
-
-  /// Process-wide recorder; every other recorder mirrors into it.
-  [[nodiscard]] static FlightRecorder& process();
+  [[nodiscard]] std::int64_t recorded() const { return ring_.recorded(); }  ///< total ever recorded
 
  private:
-  void store(const FlightEvent& event);
-
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<FlightEvent> ring_;
-  std::size_t next_ = 0;
-  std::int64_t recorded_ = 0;
+  FlightRing ring_;
 };
 
 }  // namespace via::obs

@@ -1,95 +1,11 @@
 #include "obs/span.h"
 
-#include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <thread>
 
 namespace via::obs {
-
-struct SpanBuffer::Stripe {
-  mutable std::mutex mutex;
-  std::vector<Span> ring;
-  std::size_t next = 0;
-  std::int64_t recorded = 0;
-};
-
-namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-SpanBuffer::SpanBuffer(std::size_t capacity, std::size_t stripes) : capacity_(capacity) {
-  const std::size_t n = round_up_pow2(std::max<std::size_t>(stripes, 1));
-  stripe_mask_ = n - 1;
-  stripes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) stripes_.push_back(std::make_unique<Stripe>());
-}
-
-SpanBuffer::~SpanBuffer() = default;
-
-SpanBuffer::Stripe& SpanBuffer::stripe_for(std::uint64_t trace_id) const {
-  return *stripes_[hash_mix(trace_id) & stripe_mask_];
-}
-
-void SpanBuffer::add(const Span& span) {
-  if (capacity_ == 0) return;
-  // Per-stripe share of the total capacity (at least one slot each).
-  const std::size_t per_stripe = std::max<std::size_t>(capacity_ / stripes_.size(), 1);
-  Stripe& s = stripe_for(span.trace_id);
-  const std::lock_guard lock(s.mutex);
-  if (s.ring.size() < per_stripe) {
-    s.ring.push_back(span);
-  } else {
-    s.ring[s.next] = span;
-    s.next = (s.next + 1) % per_stripe;
-  }
-  ++s.recorded;
-}
-
-std::vector<Span> SpanBuffer::snapshot() const {
-  std::vector<Span> out;
-  for (const auto& stripe : stripes_) {
-    const std::lock_guard lock(stripe->mutex);
-    out.insert(out.end(), stripe->ring.begin(), stripe->ring.end());
-  }
-  std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
-    return a.start_ns != b.start_ns ? a.start_ns < b.start_ns : a.span_id < b.span_id;
-  });
-  return out;
-}
-
-std::int64_t SpanBuffer::recorded() const {
-  std::int64_t total = 0;
-  for (const auto& stripe : stripes_) {
-    const std::lock_guard lock(stripe->mutex);
-    total += stripe->recorded;
-  }
-  return total;
-}
-
-void SpanBuffer::clear() {
-  for (const auto& stripe : stripes_) {
-    const std::lock_guard lock(stripe->mutex);
-    stripe->ring.clear();
-    stripe->next = 0;
-  }
-}
-
-SpanBuffer& SpanBuffer::process() {
-  static SpanBuffer instance(8192, 8);
-  return instance;
-}
-
-Tracer::Tracer(TraceConfig config)
-    : config_(config), buffer_(config.buffer_capacity, config.stripes) {}
 
 std::uint64_t Tracer::now_ns() noexcept {
   // One steady epoch per process, captured on first use, so spans emitted
@@ -103,12 +19,6 @@ std::uint64_t Tracer::now_ns() noexcept {
 std::uint32_t Tracer::current_tid() noexcept {
   const std::size_t h = std::hash<std::thread::id>{}(std::this_thread::get_id());
   return static_cast<std::uint32_t>(h ^ (h >> 32));
-}
-
-void Tracer::emit(const Span& span) {
-  buffer_.add(span);
-  // Mirror into the process-wide sink so failure dumps see every tracer.
-  SpanBuffer::process().add(span);
 }
 
 StagedSpan::~StagedSpan() {
@@ -190,8 +100,8 @@ void export_chrome_trace(std::span<const Span> spans, std::ostream& os,
   os << "],\"displayTimeUnit\":\"ns\"}";
 }
 
-std::string chrome_trace_json(const SpanBuffer& buffer, std::size_t max_bytes) {
-  const std::vector<Span> spans = buffer.snapshot();
+std::string chrome_trace_json(const SpanRing& ring, std::size_t max_bytes) {
+  const std::vector<Span> spans = ring.snapshot();
   std::size_t max_events = spans.size();
   for (;;) {
     std::ostringstream ss;

@@ -1,5 +1,5 @@
-// Request tracing: spans, a lock-striped bounded span buffer, and a
-// Tracer with deterministic head-based sampling.
+// Request tracing: spans, the bounded span ring (an EventRing, bounded per
+// recording thread), and a Tracer with deterministic head-based sampling.
 //
 // A trace is identified by a 64-bit trace id that rides the RPC frames
 // from the client through the controller into ViaPolicy::choose, so the
@@ -17,11 +17,10 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
+#include "obs/event_ring.h"
 #include "util/rng.h"
 
 namespace via::obs {
@@ -42,44 +41,18 @@ struct TraceConfig {
   /// Head sampling: record 1 in N traces (deterministic on trace id).
   /// 0 disables tracing; 1 records everything.
   std::uint32_t sample_rate = 0;
-  std::size_t buffer_capacity = 4096;  ///< resident spans (ring, oldest dropped)
-  std::size_t stripes = 8;             ///< lock stripes (rounded up to a power of 2)
 };
 
-/// Bounded lock-striped span sink.  A trace's spans hash to one stripe so
-/// they stay contiguous; each stripe is an independent mutex + ring, so
-/// concurrent handler threads rarely contend.
-class SpanBuffer {
- public:
-  explicit SpanBuffer(std::size_t capacity = 4096, std::size_t stripes = 8);
-  ~SpanBuffer();
-
-  SpanBuffer(const SpanBuffer&) = delete;
-  SpanBuffer& operator=(const SpanBuffer&) = delete;
-
-  void add(const Span& span);
-
-  /// Resident spans across all stripes, ordered by start time.
-  [[nodiscard]] std::vector<Span> snapshot() const;
-
-  [[nodiscard]] std::int64_t recorded() const;  ///< total ever added
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  void clear();
-
-  /// Process-wide sink: every Tracer mirrors its spans here, so one dump
-  /// (e.g. the CI failure artifact) sees the whole process regardless of
-  /// which Telemetry instance owned the tracer.
-  [[nodiscard]] static SpanBuffer& process();
-
- private:
-  struct Stripe;
-  [[nodiscard]] Stripe& stripe_for(std::uint64_t trace_id) const;
-
-  std::size_t capacity_;
-  std::size_t stripe_mask_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+/// Span snapshot order: by start time, ties by span id.
+struct SpanStartOrder {
+  [[nodiscard]] bool operator()(const Span& a, const Span& b) const noexcept {
+    return a.start_ns != b.start_ns ? a.start_ns < b.start_ns : a.span_id < b.span_id;
+  }
 };
+
+/// Bounded span sink: each recording thread keeps its newest
+/// kEventRingCapacity spans; snapshots come back in start order.
+using SpanRing = EventRing<Span, SpanStartOrder>;
 
 /// Deterministic trace id for a call whose caller did not supply one
 /// (CallContext::trace_id == 0).  Both the RPC server and a standalone
@@ -92,7 +65,7 @@ class SpanBuffer {
 /// Span factory + sampling verdict + sink, owned by a Telemetry instance.
 class Tracer {
  public:
-  explicit Tracer(TraceConfig config = {});
+  explicit Tracer(TraceConfig config = {}) : config_(config) {}
 
   /// False when constructed with sample_rate 0; callers keep a null
   /// Tracer* in that case so disabled tracing costs one pointer test.
@@ -112,10 +85,12 @@ class Tracer {
   /// spans from different components line up on one timeline).
   [[nodiscard]] static std::uint64_t now_ns() noexcept;
 
-  void emit(const Span& span);
+  /// Records `span` here and in SpanRing::process(), so one dump (e.g.
+  /// the CI failure artifact) sees every tracer in the process.
+  void emit(const Span& span) { buffer_.add(span); }
 
-  [[nodiscard]] const SpanBuffer& buffer() const noexcept { return buffer_; }
-  [[nodiscard]] SpanBuffer& buffer() noexcept { return buffer_; }
+  [[nodiscard]] const SpanRing& buffer() const noexcept { return buffer_; }
+  [[nodiscard]] SpanRing& buffer() noexcept { return buffer_; }
   [[nodiscard]] const TraceConfig& config() const noexcept { return config_; }
 
   /// Hashed id of the calling thread, for the Chrome trace `tid` lane.
@@ -125,7 +100,7 @@ class Tracer {
   static constexpr std::uint64_t kSampleSalt = 0x5a7ace;
 
   TraceConfig config_;
-  SpanBuffer buffer_;
+  SpanRing buffer_{kEventRingCapacity, &SpanRing::process()};
   std::atomic<std::uint64_t> next_span_id_{0};
 };
 
@@ -246,6 +221,6 @@ void export_chrome_trace(std::span<const Span> spans, std::ostream& os,
 
 /// export_chrome_trace into a string, trimmed (newest spans kept) until it
 /// fits `max_bytes` (0 = unbounded).
-[[nodiscard]] std::string chrome_trace_json(const SpanBuffer& buffer, std::size_t max_bytes = 0);
+[[nodiscard]] std::string chrome_trace_json(const SpanRing& ring, std::size_t max_bytes = 0);
 
 }  // namespace via::obs

@@ -10,8 +10,12 @@
 // The tracer defaults to disabled (TraceConfig::sample_rate == 0):
 // components cache a null Tracer* in that case, so request tracing costs
 // one pointer test until a host opts in.  The flight recorder defaults to
-// a small resident ring — its producers are rare, structural events
+// a resident ring — its producers are rare, structural events
 // (quarantines, RPC errors, refresh ticks), never per-call work.
+//
+// All three event streams (decisions, spans, flight events) live in the
+// one EventRing (obs/event_ring.h), so each of their bounds is per
+// recording thread: kEventRingCapacity events per thread by default.
 #pragma once
 
 #include "obs/flight_recorder.h"
@@ -27,8 +31,9 @@ struct Telemetry {
   FlightRecorder flight;
   Tracer tracer;
 
-  explicit Telemetry(std::size_t trace_capacity = 4096, TraceConfig trace_config = {},
-                     std::size_t flight_capacity = 4096)
+  explicit Telemetry(std::size_t trace_capacity = kEventRingCapacity,
+                     TraceConfig trace_config = {},
+                     std::size_t flight_capacity = kEventRingCapacity)
       : decisions(trace_capacity), flight(flight_capacity), tracer(trace_config) {}
 
   /// The tracer to hand to hot paths: null unless tracing is enabled, so

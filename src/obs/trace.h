@@ -1,22 +1,24 @@
 // Per-call decision tracing: one structured event per routed call,
 // recording *why* the controller picked the option it picked (§4.4-4.6
-// decision taxonomy).  Events live in bounded per-thread rings (old entries
-// are overwritten) and export as JSONL, one self-contained object per
-// line, parseable back into DecisionEvent for offline analysis.
+// decision taxonomy).  Events live in the telemetry EventRing, bounded per
+// recording thread (old entries are overwritten), and export as JSONL, one
+// self-contained object per line, parseable back into DecisionEvent for
+// offline analysis.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/types.h"
+#include "obs/event_ring.h"
+#include "util/flat_map.h"
 
 namespace via::obs {
 
@@ -77,46 +79,35 @@ struct DecisionEvent {
   [[nodiscard]] static std::optional<DecisionEvent> from_jsonl(std::string_view line);
 };
 
-/// Bounded, thread-safe ring buffer of DecisionEvents.  A call-id index
-/// lets the completed-call measurement be filled into its event in O(1)
-/// while the event is still resident.  Capacity 0 disables the ring
-/// entirely: record()/fill_observed() become no-ops, and callers can (and
-/// the policy does) check enabled() to skip building events altogether.
+/// Bounded, thread-safe ring of DecisionEvents: an EventRing (see
+/// event_ring.h for its per-thread shards, bound and order) plus a call-id
+/// index per shard, so the completed-call measurement can be filled into
+/// its event in O(1) while the event is still resident.  Capacity 0
+/// disables the ring entirely: record()/fill_observed() become no-ops, and
+/// callers can (and the policy does) check enabled() to skip building
+/// events altogether.
 ///
-/// Sharding.  Every serving thread records a decision per call, so the
-/// ring is split into up to kMaxShards shards, one per recording thread
-/// (picked by tls_counter_slot(); threads past kMaxShards share).  A shard
-/// is created on its thread's first record() and then owns:
-///   - its own mutex, taken by its recording thread and, rarely, by a
-///     fill_observed() or snapshot() from another thread;
-///   - a ring of `capacity` events, reserved when the shard is created;
-///   - an open-addressing index (call id -> ring slot, FlatMap with
-///     backward-shift delete) reserved for `capacity` ids.
-/// record() therefore neither contends nor allocates once its shard exists.
+/// Each shard's index (call id -> ring slot, FlatMap with backward-shift
+/// delete) is guarded by that shard's mutex and reserved for `capacity`
+/// ids on the shard's first record(), so record() neither contends nor
+/// allocates once its shard exists.
 ///
-/// Bounds and order.  The capacity bound is per shard: each shard keeps
-/// its thread's newest `capacity` events, so a trace recorded from N
-/// threads holds up to min(N, kMaxShards) * capacity events.  snapshot()
-/// concatenates the shards in shard order, each oldest first; events of
-/// different threads are not ordered against each other.  Recording from
-/// one thread (the simulation engine, every single-threaded caller) uses
-/// one shard and keeps exactly the newest `capacity` events, oldest first.
+/// Bounds and order.  The capacity bound is per recording thread, as for
+/// every telemetry ring: a trace recorded from N threads holds up to
+/// min(N, kMaxShards) * capacity events, shard by shard, each oldest
+/// first.  Recording from one thread (the simulation engine, every
+/// single-threaded caller) keeps exactly the newest `capacity` events,
+/// oldest first.
 ///
 /// Lookup.  fill_observed() searches the caller's own shard first, then
 /// the others, and fills the first resident match it finds.  Within
 /// a shard a repeated call id resolves to its newest event.
 class DecisionTrace {
  public:
-  static constexpr std::size_t kMaxShards = 16;  // power of two
-
-  explicit DecisionTrace(std::size_t capacity = 4096);
-  ~DecisionTrace();
-
-  DecisionTrace(const DecisionTrace&) = delete;
-  DecisionTrace& operator=(const DecisionTrace&) = delete;
+  explicit DecisionTrace(std::size_t capacity = kEventRingCapacity) : ring_(capacity) {}
 
   /// False when constructed with capacity 0 (tracing turned off).
-  [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
+  [[nodiscard]] bool enabled() const noexcept { return ring_.enabled(); }
 
   void record(const DecisionEvent& event);
 
@@ -124,27 +115,25 @@ class DecisionTrace {
   void fill_observed(CallId call_id, double observed);
 
   /// Resident events: shard by shard, each oldest first.
-  [[nodiscard]] std::vector<DecisionEvent> snapshot() const;
+  [[nodiscard]] std::vector<DecisionEvent> snapshot() const { return ring_.snapshot(); }
 
   /// Writes the resident events as JSONL, in snapshot() order.
-  void export_jsonl(std::ostream& os) const;
+  void export_jsonl(std::ostream& os) const { ring_.export_jsonl(os); }
 
-  /// Events each shard keeps (the per-shard bound).
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::int64_t recorded() const;  ///< total ever recorded
-  [[nodiscard]] std::int64_t dropped() const;   ///< overwritten by wraparound
+  /// Events each shard keeps (the per-thread bound).
+  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.capacity(); }
+  /// Total ever recorded.
+  [[nodiscard]] std::int64_t recorded() const { return ring_.recorded(); }
+  /// Overwritten by wraparound.
+  [[nodiscard]] std::int64_t dropped() const { return ring_.dropped(); }
 
  private:
-  struct Shard;
+  using Ring = EventRing<DecisionEvent>;
 
-  [[nodiscard]] Shard& own_shard();
-  /// Runs fn(const Shard&) on every created shard, each under its mutex.
-  template <typename Fn>
-  void for_each_shard(Fn&& fn) const;
-
-  const std::size_t capacity_;
-  std::atomic<Shard*> shards_[kMaxShards] = {};  ///< created once, freed by ~DecisionTrace
-  std::mutex create_mutex_;                      ///< serializes shard creation
+  Ring ring_;
+  /// Per shard: call id -> ring slot of its newest event; index_[i] is
+  /// guarded by shard i's mutex.
+  std::array<FlatMap<std::size_t>, Ring::kMaxShards> index_;
 };
 
 }  // namespace via::obs

@@ -101,10 +101,7 @@ ControllerServer::ControllerServer(RoutingPolicy& policy, std::uint16_t port, Se
       // Decision-ring capacity 0: nothing reads a server's decision
       // events, so choose() only tallies the reason counters and observe()
       // skips the ring fill.  The simulation engine keeps its ring.
-      telemetry_(0,
-                 obs::TraceConfig{.sample_rate = config.trace_sample,
-                                  .buffer_capacity = config.trace_buffer},
-                 config.flight_capacity),
+      telemetry_(0, obs::TraceConfig{.sample_rate = config.trace_sample}),
       tel_accepted_(&telemetry_.registry.counter("rpc.server.accepted_connections")),
       tel_conn_errors_(&telemetry_.registry.counter("rpc.server.connection_errors")),
       tel_bytes_in_(&telemetry_.registry.counter("rpc.server.bytes_in")),

@@ -76,13 +76,12 @@ struct ServerConfig {
   /// Request tracing (§6g): record 1 in `trace_sample` decision traces
   /// (0 disables tracing entirely; 1 records everything).  Sampled traces
   /// cover the rpc.decide span plus the policy's choose sub-stages, held
-  /// in a ring of `trace_buffer` spans, dumpable via GetTrace.
+  /// in the tracer's span ring (obs::kEventRingCapacity spans per
+  /// recording thread), dumpable via GetTrace.  The flight recorder keeps
+  /// as many events per thread; it is fed by rare structural events only
+  /// — shed requests, protocol errors, forced drain closes, refresh ticks,
+  /// plus whatever the hosted policy records.
   std::uint32_t trace_sample = 0;
-  std::size_t trace_buffer = 4096;
-  /// Flight recorder ring capacity (0 disables).  Fed by rare structural
-  /// events only — shed requests, protocol errors, forced drain closes,
-  /// refresh ticks, plus whatever the hosted policy records.
-  std::size_t flight_capacity = 4096;
   /// Wall-clock windowed time series: every `timeseries_window_ms` a
   /// ticker closes a window of counter/histogram deltas over the server's
   /// registry.  0 disables the ticker.

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -95,52 +94,6 @@ void append_json_number(std::string& out, std::string_view key, double v) {
   out += std::move(os).str();
 }
 
-/// Finds `"key":` in a single-object JSON line and returns the raw value
-/// text up to the next ',' or '}' outside a string.
-std::optional<std::string_view> raw_json_value(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::string_view rest = line.substr(pos + needle.size());
-  std::size_t end = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (; end < rest.size(); ++end) {
-    const char c = rest[end];
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (in_string && c == '\\') {
-      escaped = true;
-      continue;
-    }
-    if (c == '"') in_string = !in_string;
-    if (!in_string && (c == ',' || c == '}')) break;
-  }
-  return rest.substr(0, end);
-}
-
-template <typename T>
-std::optional<T> json_int(std::string_view line, std::string_view key) {
-  const auto raw = raw_json_value(line, key);
-  if (!raw) return std::nullopt;
-  T v{};
-  const auto [ptr, ec] = std::from_chars(raw->data(), raw->data() + raw->size(), v);
-  if (ec != std::errc{}) return std::nullopt;
-  return v;
-}
-
-std::optional<double> json_double(std::string_view line, std::string_view key) {
-  const auto raw = raw_json_value(line, key);
-  if (!raw) return std::nullopt;
-  try {
-    return std::stod(std::string(*raw));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
 }  // namespace
 
 std::string SoakResult::to_json() const {
@@ -159,22 +112,18 @@ std::string SoakResult::to_json() const {
 }
 
 std::optional<SoakResult> SoakResult::from_json(std::string_view line) {
-  const auto ok_raw = raw_json_value(line, "ok");
-  const auto connected = json_int<std::int64_t>(line, "connected");
-  const auto sent = json_int<std::int64_t>(line, "sent");
-  const auto received = json_int<std::int64_t>(line, "received");
-  const auto mismatched = json_int<std::int64_t>(line, "mismatched");
-  const auto seconds = json_double(line, "seconds");
-  const auto rps = json_double(line, "rps");
-  const auto error_raw = raw_json_value(line, "error");
-  if (!ok_raw || !connected || !sent || !received || !mismatched || !seconds || !rps ||
-      !error_raw) {
+  const auto ok_raw = obs::json_field(line, "ok");
+  const auto connected = obs::json_int<std::int64_t>(line, "connected");
+  const auto sent = obs::json_int<std::int64_t>(line, "sent");
+  const auto received = obs::json_int<std::int64_t>(line, "received");
+  const auto mismatched = obs::json_int<std::int64_t>(line, "mismatched");
+  const auto seconds = obs::json_double(line, "seconds");
+  const auto rps = obs::json_double(line, "rps");
+  auto error = obs::json_string(line, "error");
+  if (!ok_raw || !connected || !sent || !received || !mismatched || !seconds || !rps || !error) {
     return std::nullopt;
   }
   if (*ok_raw != "true" && *ok_raw != "false") return std::nullopt;
-  if (error_raw->size() < 2 || error_raw->front() != '"' || error_raw->back() != '"') {
-    return std::nullopt;
-  }
   SoakResult r;
   r.ok = *ok_raw == "true";
   r.connected = *connected;
@@ -183,7 +132,7 @@ std::optional<SoakResult> SoakResult::from_json(std::string_view line) {
   r.mismatched = *mismatched;
   r.seconds = *seconds;
   r.rps = *rps;
-  r.error = obs::json_unescape(error_raw->substr(1, error_raw->size() - 2));
+  r.error = std::move(*error);
   return r;
 }
 

@@ -5,8 +5,8 @@
 // serving thread hammering the same relaxed-atomic decision counters.
 // `kDestructiveInterferenceSize` gives the padding granularity;
 // tls_counter_slot() picks the per-thread cell of a sharded structure
-// (obs::Counter's cells, obs::DecisionTrace's shards) so each thread
-// writes its own lines.
+// (obs::Counter's cells, the shards of obs::EventRing, which holds every
+// decision, span and flight event) so each thread writes its own lines.
 #pragma once
 
 #include <atomic>

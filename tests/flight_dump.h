@@ -1,6 +1,6 @@
 // Test-failure forensics: when the VIA_FLIGHT_DUMP environment variable
 // names a directory and any test in the binary fails, dump the process-wide
-// flight recorder (JSONL) and span buffer (Chrome trace JSON) there so a
+// flight ring (JSONL) and span ring (Chrome trace JSON) there so a
 // red chaos/fault run in CI leaves behind the story of what happened.
 // Include this header and invoke VIA_REGISTER_FLIGHT_DUMP("binary-stem")
 // once at namespace scope; it registers a gtest global environment, so it
@@ -30,11 +30,11 @@ class FlightDumpEnvironment : public ::testing::Environment {
     const std::string base = std::string(dir) + "/" + stem_;
     {
       std::ofstream out(base + ".flight.jsonl");
-      obs::FlightRecorder::process().export_jsonl(out);
+      obs::FlightRing::process().export_jsonl(out);
     }
     {
       std::ofstream out(base + ".trace.json");
-      const auto spans = obs::SpanBuffer::process().snapshot();
+      const auto spans = obs::SpanRing::process().snapshot();
       obs::export_chrome_trace(spans, out);
     }
   }

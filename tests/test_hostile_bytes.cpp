@@ -3,6 +3,8 @@
 // (ReadBuffer::next_frame), to the blocking recv_frame, to a live epoll
 // server, and to a live admin HTTP sidecar.  Mutations are truncation, bit flips, inflated length and count
 // fields, random overwrites, appended garbage, and unknown message types.
+// The JSON line decoders (DecisionEvent, FlightEvent, SoakResult) get
+// flipped, truncated, spliced and oversized lines.
 //
 // The contract under test: a decoder returns a value or throws
 // ProtocolError — nothing else, and never reads out of bounds (this binary
@@ -10,7 +12,8 @@
 // gets the replies to every frame before it, then one Error frame, then a
 // close, while the server keeps serving other connections.  The admin
 // sidecar answers every request with 200, 404 or 405, or closes, and
-// keeps answering afterwards.
+// keeps answering afterwards.  A line decoder returns nullopt or a value
+// that re-serializes to a line it parses back to the same value.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -21,10 +24,12 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,6 +42,7 @@
 #include "rpc/messages.h"
 #include "rpc/server.h"
 #include "rpc/socket.h"
+#include "rpc/soak_driver.h"
 
 namespace via {
 namespace {
@@ -589,6 +595,196 @@ TEST(HostileBytes, AdminSidecarAnswersOrClosesAndKeepsServing) {
   EXPECT_TRUE(healthz.starts_with("HTTP/1.0 200 OK\r\n")) << healthz;
   EXPECT_TRUE(healthz.ends_with("\r\n\r\nok\n")) << healthz;
   admin.stop();
+}
+
+// ------------------------------------------------------- JSON line decoders
+
+/// A JSON line decoder under test: valid lines to mutate, and `reencode`,
+/// which parses a line and, when that yields a value, returns the value's
+/// own serialization.
+struct LineCase {
+  std::string name;
+  std::vector<std::string> valid;
+  std::function<std::optional<std::string>(std::string_view)> reencode;
+};
+
+template <typename T, typename Parse, typename Write>
+std::function<std::optional<std::string>(std::string_view)> reencoder(Parse parse, Write write) {
+  return [parse, write](std::string_view line) -> std::optional<std::string> {
+    const std::optional<T> value = parse(line);
+    if (!value) return std::nullopt;
+    return write(*value);
+  };
+}
+
+std::vector<LineCase> line_cases() {
+  std::vector<std::string> decisions;
+  for (int i = 0; i < 3; ++i) {
+    obs::DecisionEvent e;
+    e.call_id = 4242 + i;
+    e.time = 86'400 + i;
+    e.src_as = 7;
+    e.dst_as = 11 + i;
+    e.option = i;
+    e.reason = static_cast<obs::DecisionReason>(i * 2);
+    e.predicted = 123.5 + i;
+    if (i != 1) e.observed = 150.25 * i;  // the middle one stays NaN (null)
+    e.top_k_size = 5;
+    e.bandit_pulls = 99 * i;
+    decisions.push_back(e.to_jsonl());
+  }
+  std::vector<std::string> flights;
+  for (int i = 0; i < 3; ++i) {
+    obs::FlightEvent e;
+    e.seq = 100 + i;
+    e.wall_us = 123'456 * i;
+    e.time = i == 0 ? -1 : 86'400;
+    e.kind = static_cast<obs::FlightEventKind>(i * 5);
+    e.detail = i == 1 ? "plain" : "quote\" backslash\\ newline\n \"a\":1,}";
+    e.a = 42 * i;
+    flights.push_back(e.to_jsonl());
+  }
+  std::vector<std::string> soaks;
+  for (int i = 0; i < 3; ++i) {
+    SoakResult r;
+    r.ok = i != 2;
+    r.connected = 64 * i;
+    r.sent = 4096 + i;
+    r.received = 4096;
+    r.mismatched = i;
+    r.seconds = 1.5 * i;
+    r.rps = 2730.67 * i;
+    r.error = i == 2 ? "lost replies: \"sent\":1,}" : "";
+    soaks.push_back(r.to_json());
+  }
+  return {
+      {"DecisionEvent", decisions,
+       reencoder<obs::DecisionEvent>(&obs::DecisionEvent::from_jsonl,
+                                     [](const obs::DecisionEvent& e) { return e.to_jsonl(); })},
+      {"FlightEvent", flights,
+       reencoder<obs::FlightEvent>(&obs::FlightEvent::from_jsonl,
+                                   [](const obs::FlightEvent& e) { return e.to_jsonl(); })},
+      {"SoakResult", soaks,
+       reencoder<SoakResult>(&SoakResult::from_json,
+                             [](const SoakResult& r) { return r.to_json(); })},
+  };
+}
+
+/// One seeded mutation of a valid line: byte flips, a truncation, or a
+/// splice of a slice of another valid line over a slice of this one.
+std::string mutate_line(const std::vector<std::string>& valid, std::mt19937_64& rng) {
+  std::string s = valid[rng() % valid.size()];
+  switch (rng() % 4) {
+    case 0:  // bit flips
+      for (int k = 1 + static_cast<int>(rng() % 3); k > 0; --k) {
+        s[rng() % s.size()] ^= static_cast<char>(1u << (rng() % 8));
+      }
+      break;
+    case 1: {  // a byte set to a character the reader treats as structure
+      static constexpr std::string_view kStructure = "\"\\:,{}- .eE0n";
+      s[rng() % s.size()] = kStructure[rng() % kStructure.size()];
+      break;
+    }
+    case 2:  // truncation
+      s.resize(rng() % (s.size() + 1));
+      break;
+    default: {  // splice
+      const std::string& other = valid[rng() % valid.size()];
+      const std::size_t at = rng() % (s.size() + 1);
+      const std::size_t len = rng() % (s.size() - at + 1);
+      const std::size_t from = rng() % (other.size() + 1);
+      const std::size_t take = rng() % (other.size() - from + 1);
+      s.replace(at, len, other, from, take);
+      break;
+    }
+  }
+  return s;
+}
+
+/// The decoder's contract on one input: nullopt, or a value whose
+/// serialization parses back to the same serialization (the same value as
+/// written; DecisionEvent and SoakResult print 6 significant digits).
+/// Returns whether the input was accepted.
+bool expect_nullopt_or_fixed_point(const LineCase& c, std::string_view line) {
+  const std::optional<std::string> once = c.reencode(line);
+  if (!once) return false;
+  const std::optional<std::string> twice = c.reencode(*once);
+  EXPECT_TRUE(twice.has_value()) << c.name << " rejects its own line " << *once;
+  if (twice) {
+    EXPECT_EQ(*twice, *once) << c.name << " from " << line;
+  }
+  return true;
+}
+
+TEST(HostileBytes, JsonLineDecodersReturnNulloptOrARoundTrippingValue) {
+  constexpr int kMutantsPerDecoder = 4000;
+  constexpr std::size_t kOversized = 70 * 1024;
+  for (const LineCase& c : line_cases()) {
+    SCOPED_TRACE(c.name);
+    for (const std::string& line : c.valid) {
+      EXPECT_TRUE(expect_nullopt_or_fixed_point(c, line)) << line;
+    }
+    std::mt19937_64 rng(0x5EED5005 + c.name.size());
+    int accepted = 0;
+    int rejected = 0;
+    for (int i = 0; i < kMutantsPerDecoder; ++i) {
+      const std::string mutant = mutate_line(c.valid, rng);
+      ++(expect_nullopt_or_fixed_point(c, mutant) ? accepted : rejected);
+    }
+    // Both outcomes occur, so the mutations reach past the first field.
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
+
+    // Oversized lines: a run of digits inside the first value, and junk
+    // after the closing brace.
+    const std::string& valid = c.valid.front();
+    std::string digits = valid;
+    digits.insert(valid.find(':') + 1, kOversized, '7');
+    EXPECT_FALSE(expect_nullopt_or_fixed_point(c, digits));
+    std::string tail = valid;
+    for (std::size_t k = 0; k < kOversized; ++k) tail.push_back(static_cast<char>(rng()));
+    expect_nullopt_or_fixed_point(c, tail);
+  }
+
+  // An oversized string field is still a valid line.
+  obs::FlightEvent big;
+  big.detail = std::string(kOversized, 'x') + "\"\\\n";
+  const auto flight = obs::FlightEvent::from_jsonl(big.to_jsonl());
+  ASSERT_TRUE(flight.has_value());
+  EXPECT_EQ(flight->detail, big.detail);
+  SoakResult soak;
+  soak.error = big.detail;
+  const auto parsed_soak = SoakResult::from_json(soak.to_json());
+  ASSERT_TRUE(parsed_soak.has_value());
+  EXPECT_EQ(parsed_soak->error, big.detail);
+}
+
+TEST(HostileBytes, JsonLineDecodersRejectNumbersWithTrailingBytes) {
+  SoakResult r;
+  r.ok = true;
+  r.sent = 12;
+  r.received = 12;
+  r.seconds = 1.5;
+  r.rps = 8.0;
+  const std::string line = r.to_json();
+  ASSERT_TRUE(SoakResult::from_json(line).has_value()) << line;
+  const auto with = [&](std::string_view from, std::string_view to) {
+    std::string s = line;
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return s.replace(at, from.size(), to);
+  };
+  EXPECT_FALSE(SoakResult::from_json(with("\"sent\":12", "\"sent\":12x")).has_value());
+  EXPECT_FALSE(SoakResult::from_json(with("\"seconds\":1.5", "\"seconds\":1.5abc")).has_value());
+  EXPECT_FALSE(SoakResult::from_json(with("\"rps\":8", "\"rps\":")).has_value());
+
+  obs::DecisionEvent e;
+  e.predicted = 1.5;
+  const std::string decision = e.to_jsonl();
+  ASSERT_TRUE(obs::DecisionEvent::from_jsonl(decision).has_value());
+  std::string empty_predicted = decision;
+  empty_predicted.replace(decision.find("\"predicted\":1.5"), 15, "\"predicted\":");
+  EXPECT_FALSE(obs::DecisionEvent::from_jsonl(empty_predicted).has_value());
 }
 
 }  // namespace

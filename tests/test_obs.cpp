@@ -12,6 +12,7 @@
 #include <cmath>
 #include <deque>
 #include <map>
+#include <numeric>
 #include <random>
 #include <sstream>
 #include <string_view>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "count_allocations.h"
+#include "util/cacheline.h"
 
 namespace via {
 namespace {
@@ -397,6 +399,127 @@ TEST(ObsTrace, RecordAndFillAllocateNothingOnceTheShardExists) {
   g_count_allocations = false;
   EXPECT_EQ(g_allocations, 0);
   EXPECT_EQ(trace.recorded(), 1000);
+}
+
+/// How the ring contract test builds and reads back one payload type: the
+/// i-th event of thread `t`, stamped with a process-wide order key (the
+/// span's start time, the flight event's seq) and a tag that tells this
+/// test's events apart from anything else in the process ring.
+template <typename T>
+struct RingPayload;
+
+template <>
+struct RingPayload<obs::Span> {
+  using Ring = obs::SpanRing;
+  static constexpr std::uint64_t kTag = 0xc0de0000;
+  static obs::Span make(int t, std::int64_t i, std::uint64_t order) {
+    obs::Span s;
+    s.trace_id = kTag + static_cast<std::uint64_t>(t);
+    s.span_id = static_cast<std::uint64_t>(i);
+    s.name = "ring.contract";
+    s.start_ns = order;
+    return s;
+  }
+  static bool ours(const obs::Span& s) { return s.trace_id >= kTag && s.trace_id < kTag + 64; }
+  static int thread(const obs::Span& s) { return static_cast<int>(s.trace_id - kTag); }
+  static std::int64_t index(const obs::Span& s) { return static_cast<std::int64_t>(s.span_id); }
+  static std::uint64_t order(const obs::Span& s) { return s.start_ns; }
+};
+
+template <>
+struct RingPayload<obs::FlightEvent> {
+  using Ring = obs::FlightRing;
+  static obs::FlightEvent make(int t, std::int64_t i, std::uint64_t order) {
+    obs::FlightEvent e;
+    e.seq = static_cast<std::int64_t>(order);
+    e.kind = obs::FlightEventKind::Note;
+    e.detail = "ring.contract";
+    e.a = t;
+    e.b = i;
+    return e;
+  }
+  static bool ours(const obs::FlightEvent& e) { return e.detail == "ring.contract"; }
+  static int thread(const obs::FlightEvent& e) { return static_cast<int>(e.a); }
+  static std::int64_t index(const obs::FlightEvent& e) { return e.b; }
+  static std::uint64_t order(const obs::FlightEvent& e) {
+    return static_cast<std::uint64_t>(e.seq);
+  }
+};
+
+template <typename T>
+class EventRingContract : public ::testing::Test {};
+using RingPayloads = ::testing::Types<obs::Span, obs::FlightEvent>;
+TYPED_TEST_SUITE(EventRingContract, RingPayloads);
+
+TYPED_TEST(EventRingContract, FourThreadsKeepTheirNewestInOrderAndMirrorEverything) {
+  using P = RingPayload<TypeParam>;
+  using Ring = typename P::Ring;
+  constexpr int kThreads = 4;
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::int64_t kPerThread = 3 * kCapacity + 5;
+  Ring ring(kCapacity, &Ring::process());
+  const auto count_ours = [](const std::vector<TypeParam>& events) {
+    return std::count_if(events.begin(), events.end(),
+                         [](const TypeParam& e) { return P::ours(e); });
+  };
+  const std::int64_t process_before = Ring::process().recorded();
+  const auto ours_before = count_ours(Ring::process().snapshot());
+
+  std::atomic<std::uint64_t> clock{1};
+  std::atomic<int> done{0};
+  std::array<std::size_t, kThreads> shard_of{};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      shard_of[static_cast<std::size_t>(t)] = tls_counter_slot() & (Ring::kMaxShards - 1);
+      for (std::int64_t i = 0; i < kPerThread; ++i) {
+        ring.add(P::make(t, i, clock.fetch_add(1, std::memory_order_relaxed)));
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  // Snapshots taken while the threads record stay ordered and bounded.
+  const auto by_order = [](const TypeParam& x, const TypeParam& y) {
+    return P::order(x) < P::order(y);
+  };
+  while (done.load(std::memory_order_acquire) < kThreads) {
+    const std::vector<TypeParam> partial = ring.snapshot();
+    EXPECT_TRUE(std::is_sorted(partial.begin(), partial.end(), by_order));
+    EXPECT_LE(partial.size(), kThreads * kCapacity);
+  }
+  for (std::thread& th : threads) th.join();
+
+  // Threads that share a shard share its bound; this test's threads get
+  // consecutive slots, so each has its own.
+  std::array<std::size_t, kThreads> sorted_shards = shard_of;
+  std::sort(sorted_shards.begin(), sorted_shards.end());
+  ASSERT_EQ(std::adjacent_find(sorted_shards.begin(), sorted_shards.end()), sorted_shards.end());
+
+  const std::vector<TypeParam> events = ring.snapshot();
+  EXPECT_EQ(ring.recorded(), kThreads * kPerThread);
+  EXPECT_EQ(ring.recorded(), static_cast<std::int64_t>(events.size()) + ring.dropped());
+  EXPECT_TRUE(std::is_sorted(events.begin(), events.end(), by_order));
+  std::array<std::vector<std::int64_t>, kThreads> kept;
+  for (const TypeParam& e : events) {
+    kept[static_cast<std::size_t>(P::thread(e))].push_back(P::index(e));
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    std::vector<std::int64_t>& got = kept[static_cast<std::size_t>(t)];
+    std::sort(got.begin(), got.end());
+    std::vector<std::int64_t> newest(kCapacity);
+    std::iota(newest.begin(), newest.end(), kPerThread - static_cast<std::int64_t>(kCapacity));
+    EXPECT_EQ(got, newest) << "thread " << t;
+  }
+
+  // The process ring saw every event, and (holding kEventRingCapacity per
+  // thread) still holds each one once.
+  EXPECT_EQ(Ring::process().recorded() - process_before, kThreads * kPerThread);
+  EXPECT_EQ(count_ours(Ring::process().snapshot()) - ours_before, kThreads * kPerThread);
+
+  ring.clear();
+  EXPECT_TRUE(ring.snapshot().empty());
+  EXPECT_EQ(ring.dropped(), ring.recorded());
 }
 
 TEST(ObsExport, RenderersIncludeEveryInstrument) {

@@ -258,7 +258,7 @@ TEST(Tracing, HeadSamplingIsDeterministicAcrossTracers) {
 }
 
 TEST(Tracing, SpanBufferIsBoundedAndSnapshotsInStartOrder) {
-  obs::SpanBuffer buffer(/*capacity=*/64, /*stripes=*/4);
+  obs::SpanRing buffer(/*capacity=*/64);
   for (std::uint64_t i = 0; i < 200; ++i) {
     obs::Span s;
     s.trace_id = i;
@@ -401,11 +401,11 @@ TEST(FlightRecorder, RingIsBoundedAndSeqOrdered) {
 }
 
 TEST(FlightRecorder, MirrorsIntoTheProcessRecorder) {
-  const std::int64_t before = obs::FlightRecorder::process().recorded();
+  const std::int64_t before = obs::FlightRing::process().recorded();
   obs::FlightRecorder rec(16);
   rec.record(obs::FlightEventKind::Note, "mirror-check", 7);
-  EXPECT_GT(obs::FlightRecorder::process().recorded(), before);
-  const auto proc = obs::FlightRecorder::process().snapshot();
+  EXPECT_GT(obs::FlightRing::process().recorded(), before);
+  const auto proc = obs::FlightRing::process().snapshot();
   EXPECT_TRUE(std::any_of(proc.begin(), proc.end(), [](const obs::FlightEvent& e) {
     return e.detail == "mirror-check" && e.a == 7;
   }));

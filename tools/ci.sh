@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (full build + ctest), a strict
-# -Wall -Wextra -Werror compile of every target,
-# a build of the controller benchmark (ctlbench/) plus its self-tests,
+# -Wall -Wextra -Werror compile of every target (at RelWithDebInfo and
+# again at Release), a build of the controller benchmark (ctlbench/)
+# plus its self-tests,
 # and a Release (-O2 -DNDEBUG) bench smoke that emits BENCH_core.json and
 # gates it against bench/thresholds.json (failing, tools/check_bench.py;
 # the bench is retried a couple of times so a transient load spike on the
@@ -28,9 +29,6 @@ cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 echo "== strict: -Werror build of every target =="
-# At the default RelWithDebInfo.  A Release -Werror build still trips GCC
-# 12's -Wrestrict inside std::string (in via_obs), so this stage does not
-# set a build type.
 cmake -B "$BUILD_DIR-werror" -S . -DVIA_WERROR=ON
 cmake --build "$BUILD_DIR-werror" -j
 
@@ -39,9 +37,12 @@ cmake -S ctlbench -B .bench_build/ctlbench
 cmake --build .bench_build/ctlbench -j --target ctl_bench
 python3 ctlbench/test_run.py
 
-echo "== release: -O2 -DNDEBUG bench_micro_core smoke + BENCH_core.json =="
-cmake -B "$BUILD_DIR-release" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR-release" -j --target bench_micro_core
+echo "== release: -Werror build of every target, bench_micro_core smoke + BENCH_core.json =="
+# Release inlines more than the strict stage's RelWithDebInfo, so GCC
+# warns about code (e.g. -Wrestrict inside std::string) the strict stage
+# never sees; every target must build clean here too.
+cmake -B "$BUILD_DIR-release" -S . -DCMAKE_BUILD_TYPE=Release -DVIA_WERROR=ON
+cmake --build "$BUILD_DIR-release" -j
 bench_ok=0
 for attempt in 1 2 3; do
   echo "-- bench attempt $attempt --"
@@ -66,7 +67,6 @@ echo "== release: bench_scale smoke (1M calls / 100k pairs, bounded RSS) =="
 # The §6i streaming-scale smoke: a bounded-memory replay that must finish
 # under the RSS cap (bench_scale exits nonzero on a VmHWM breach) and is
 # gated warn-only against bench/thresholds_scale.json.
-cmake --build "$BUILD_DIR-release" -j --target bench_scale
 "$BUILD_DIR-release/bench/bench_scale" --calls 1000000 --pairs 100000 \
   --rss-cap-mb 1024 --json "$BUILD_DIR-release/BENCH_scale.json"
 echo "== scale regression gate (bench/thresholds_scale.json) =="
