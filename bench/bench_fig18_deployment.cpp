@@ -3,19 +3,40 @@
 // Via choose.  Reports the CDF of per-call sub-optimality vs the oracle.
 // Paper: ~1000 calls over 18 pairs; Via within 20% of the oracle for 70% of
 // calls while picking the exact best option for no more than 30%.
+//
+//   bench_fig18_deployment [--fault-plan SPEC]
+//
+// --fault-plan SPEC applies deterministic ground-truth faults to every
+// testbed sample, e.g. "outage:relay=2,start=0,end=86400" (grammar:
+// FaultPlan::parse), and prints how many samples the plan impaired.
 #include "bench_common.h"
 
 #include <algorithm>
+#include <string>
 
 #include "rpc/testbed.h"
+#include "sim/faults.h"
 #include "util/percentile.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace via;
   using namespace via::bench;
   const Stopwatch sw;
 
   TestbedConfig config;  // defaults mirror the paper's testbed shape
+  FaultPlan plan;
+  if (argc == 3 && std::string(argv[1]) == "--fault-plan") {
+    try {
+      plan = FaultPlan::parse(argv[2]);
+    } catch (const std::exception& e) {
+      std::cerr << "bench_fig18_deployment: bad --fault-plan: " << e.what() << "\n";
+      return 2;
+    }
+    config.faults = &plan;
+  } else if (argc != 1) {
+    std::cerr << "usage: bench_fig18_deployment [--fault-plan SPEC]\n";
+    return 2;
+  }
   std::cout << "=====================================================================\n"
             << "Figure 18 — controlled deployment (real TCP controller + clients)\n"
             << "testbed: " << config.client_pairs << " client pairs, "
@@ -47,6 +68,9 @@ int main() {
   }
   table.print(std::cout);
 
+  if (config.faults != nullptr) {
+    std::cout << "fault-impaired samples: " << result.fault_impaired_samples << "\n";
+  }
   std::cout << "\nexact-best picks: " << format_double(100.0 * result.fraction_best(), 1)
             << "%   (paper: <= 30%)\n";
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -20,11 +21,9 @@
 #include "obs/telemetry.h"
 #include "rpc/fed_client.h"
 #include "rpc/fed_fleet.h"
-#include "rpc/framing.h"
 #include "rpc/messages.h"
 #include "rpc/server.h"
 #include "rpc/soak_driver.h"
-#include "rpc/socket.h"
 #include "util/rng.h"
 
 namespace via {
@@ -420,36 +419,23 @@ void run_concurrent_choose(bench::BenchJson& json) {
   if (mops_1t > 0.0) json.set("concurrent_choose_speedup_4t", mops_4t / mops_1t);
 }
 
-/// Serializes one whole frame (u32 payload_len + u8 msg_type + payload)
-/// into `out`, so a burst of requests goes out in a single send_all and
-/// lands on the reactor within one readiness event.
-void append_frame(std::vector<std::byte>& out, MsgType type, const WireWriter& w) {
-  const auto payload = w.bytes();
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((len >> (8 * i)) & 0xFF));
-  }
-  out.push_back(static_cast<std::byte>(type));
-  out.insert(out.end(), payload.begin(), payload.end());
-}
-
 /// Reactor serving throughput (DESIGN.md §6h/§6j): one warmed ViaPolicy
-/// behind the epoll reactor (2 event-loop workers), hammered by raw
-/// pipelined connections.
+/// behind the epoll reactor (2 event-loop workers), hammered by the soak
+/// driver's pipelined connections.  Every point sends the same requests:
+/// each round a driver thread writes an 8-deep DecisionRequest burst on
+/// every connection it owns (empty options = "controller decides"), then
+/// drains the 8 replies.  The client side is capped at 8 driver threads
+/// regardless of the connection count, so the sweep scales *connections*
+/// (and with them the per-wakeup frame batches the reactor amortizes one
+/// snapshot acquire across), not client parallelism.
 ///
-/// The 64/256/1024-connection points run in-process: the client side is
-/// capped at 8 driver threads regardless of the connection count, so the
-/// sweep scales *connections* (and with them the per-wakeup frame batches
-/// the reactor amortizes one snapshot acquire across), not client
-/// parallelism.  Each round a driver writes an 8-deep DecisionRequest
-/// burst on every connection it owns, then drains the 8 replies.
-///
+/// The 64/256/1024-connection points drive from this process (run_soak).
 /// The 4096/10240-connection points exceed what one process's fd budget
 /// can hold on both ends, so the client half runs in the via_soak_driver
-/// child process (decision mode, empty options = "controller decides").
-/// They are skipped when VIA_BENCH_SWEEP_SCALE=small (CI smoke) — the
-/// matching threshold rows live in `_optional`, so a missing key reads as
-/// an explicit SKIP, not a silent pass.
+/// child process (spawn_soak).  They are skipped when
+/// VIA_BENCH_SWEEP_SCALE=small (CI smoke) — the matching threshold rows
+/// live in `_optional`, so a missing key reads as an explicit SKIP, not a
+/// silent pass.
 ///
 /// Emits reactor_choose_rps_{64,256,1024,4096,10240}c
 /// (requests/sec) into BENCH_core.json; set VIA_BENCH_REACTOR=off to skip.
@@ -485,101 +471,34 @@ void run_reactor_bench(bench::BenchJson& json) {
   }
   policy.refresh(kSecondsPerDay);
 
-  constexpr int kDepth = 8;
   ServerConfig sconfig;
   sconfig.reactor_threads = 2;
   sconfig.drain_timeout_ms = 1000;
   ControllerServer server(policy, 0, sconfig);
   server.start();
 
-  for (const int conns : {64, 256, 1024}) {
-    const int rounds = std::max(1, 32768 / (conns * kDepth));
-    std::vector<TcpConnection> sockets;
-    sockets.reserve(static_cast<std::size_t>(conns));
-    for (int c = 0; c < conns; ++c) {
-      sockets.push_back(TcpConnection::connect_local(server.port()));
-    }
-
-    // Pre-encode one burst per connection (outside the timed region) so
-    // the drivers measure serving throughput, not client-side encoding.
-    std::vector<std::vector<std::byte>> bursts(static_cast<std::size_t>(conns));
-    Rng creq(17);
-    for (int c = 0; c < conns; ++c) {
-      for (int k = 0; k < kDepth; ++k) {
-        const auto s = static_cast<AsId>(creq.uniform_index(100));
-        const auto d = static_cast<AsId>((s + 1 + creq.uniform_index(99)) % 100);
-        DecisionRequest req;
-        req.call_id = 3'000'000 + static_cast<CallId>(c) * 1000 + k;
-        req.time = kSecondsPerDay + 100;
-        req.src_as = s;
-        req.dst_as = d;
-        const auto cand = gt.candidate_options(s, d);
-        req.options.assign(cand.begin(), cand.end());
-        WireWriter w;
-        req.encode(w);
-        append_frame(bursts[static_cast<std::size_t>(c)], MsgType::DecisionRequest, w);
-      }
-    }
-
-    const int drivers = std::min(8, conns);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(drivers));
-    const bench::Stopwatch sw;
-    for (int t = 0; t < drivers; ++t) {
-      threads.emplace_back([&, t] {
-        std::vector<std::byte> reply;
-        for (int r = 0; r < rounds; ++r) {
-          for (int c = t; c < conns; c += drivers) {
-            sockets[static_cast<std::size_t>(c)].send_all(bursts[static_cast<std::size_t>(c)]);
-          }
-          for (int c = t; c < conns; c += drivers) {
-            auto& conn = sockets[static_cast<std::size_t>(c)];
-            for (int k = 0; k < kDepth; ++k) {
-              std::byte header[5];
-              if (!conn.recv_all(header)) return;
-              std::uint32_t len = 0;
-              for (int i = 0; i < 4; ++i) {
-                len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-              }
-              reply.resize(len);
-              if (len > 0 && !conn.recv_all(reply)) return;
-            }
-          }
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    const double seconds = sw.seconds();
-    const auto total = static_cast<double>(conns) * kDepth * rounds;
-    const double rps = seconds > 0.0 ? total / seconds : 0.0;
-    std::cout << "reactor choose: " << conns << " conns, " << static_cast<long long>(total)
-              << " requests, " << rps << " req/s\n";
-    json.set("reactor_choose_rps_" + std::to_string(conns) + "c", rps);
-    // Close client ends before the next sweep point so stop() never waits
-    // out the drain timeout on idle connections.
-    sockets.clear();
-  }
-
-  for (const int conns : {4096, 10240}) {
-    if (small) {
+  SoakConfig soak;
+  soak.port = server.port();
+  soak.depth = 8;
+  soak.threads = 8;
+  for (const int conns : {64, 256, 1024, 4096, 10240}) {
+    const bool in_process = conns <= 1024;
+    if (!in_process && small) {
       std::cout << "reactor choose: " << conns << " conns SKIPPED (VIA_BENCH_SWEEP_SCALE=small)\n";
       continue;
     }
-    SoakConfig soak;
-    soak.port = server.port();
     soak.connections = conns;
-    soak.depth = kDepth;
-    soak.rounds = std::max(2, 262'144 / (conns * kDepth));
-    soak.threads = 8;
+    soak.rounds = std::max(2, (in_process ? 32'768 : 262'144) / (conns * soak.depth));
     std::string spawn_error;
-    const auto result = spawn_soak(soak, &spawn_error);
+    const std::optional<SoakResult> result =
+        in_process ? run_soak(soak) : spawn_soak(soak, &spawn_error);
     if (!result.has_value() || !result->ok) {
       std::cout << "reactor choose: " << conns << " conns soak FAILED: "
                 << (result.has_value() ? result->error : spawn_error) << "\n";
       continue;
     }
-    std::cout << "reactor choose: " << conns << " conns, " << result->received
-              << " requests, " << result->rps << " req/s (child driver)\n";
+    std::cout << "reactor choose: " << conns << " conns, " << result->received << " requests, "
+              << result->rps << " req/s" << (in_process ? "\n" : " (child driver)\n");
     json.set("reactor_choose_rps_" + std::to_string(conns) + "c", result->rps);
   }
   server.stop();

@@ -27,10 +27,7 @@ bool ReadBuffer::next_frame(Frame& out) {
   const std::size_t avail = end_ - begin_;
   if (avail < kFrameHeaderBytes) return false;
   const std::byte* p = buf_.data() + begin_;
-  std::uint32_t len = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
+  const std::uint32_t len = frame_payload_len(p);
   if (len > kMaxPayload) throw ProtocolError("frame too large");
   if (avail < kFrameHeaderBytes + len) return false;
   out.type = static_cast<std::uint8_t>(p[4]);

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "rpc/framing.h"
@@ -101,25 +102,12 @@ class ReadBuffer {
 /// staged region.
 class WriteBuffer {
  public:
-  /// Encodes one frame onto the queue in place: reserves the header, runs
-  /// `encode(WireWriter&)` straight onto the queue, then patches the
-  /// payload length in.  Returns the frame's wire size (header included).
+  /// Encodes one frame onto the queue in place (append_frame): reserves
+  /// the header, runs `encode(WireWriter&)` straight onto the queue, then
+  /// patches the payload length in.  Returns the frame's wire size.
   template <typename EncodeFn>
   std::size_t frame_with(std::uint8_t type, EncodeFn&& encode) {
-    const std::size_t at = buf_.size();
-    buf_.resize(at + kFrameHeaderBytes);
-    {
-      WireWriter w(buf_);
-      encode(w);
-    }
-    const std::size_t size = buf_.size() - at;
-    const auto len = static_cast<std::uint32_t>(size - kFrameHeaderBytes);
-    std::byte* header = buf_.data() + at;
-    for (std::size_t i = 0; i < 4; ++i) {
-      header[i] = static_cast<std::byte>((len >> (8 * i)) & 0xFF);
-    }
-    header[4] = static_cast<std::byte>(type);
-    return size;
+    return append_frame(buf_, type, std::forward<EncodeFn>(encode));
   }
 
   /// Queues one frame with an already-encoded payload.

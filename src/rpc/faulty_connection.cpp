@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "rpc/errors.h"
+#include "rpc/framing.h"
 #include "util/rng.h"
 
 namespace via {
@@ -35,11 +36,7 @@ FaultAction FaultSchedule::next_action() {
 }
 
 void FaultyConnection::begin_frame() {
-  std::uint32_t len = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(header_[i]) << (8 * i);
-  }
-  frame_size_ = header_.size() + len;
+  frame_size_ = header_.size() + frame_payload_len(header_.data());
   frame_sent_ = 0;
   header_have_ = 0;
   // One action per frame, drawn exactly when the legacy whole-frame path

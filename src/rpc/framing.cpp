@@ -9,11 +9,7 @@ void begin_frame(std::vector<std::byte>& frame) {
 void send_framed(TcpConnection& conn, std::uint8_t type, std::vector<std::byte>& frame) {
   const std::size_t payload = frame.size() - kFrameHeaderBytes;
   if (payload > kMaxPayload) throw ProtocolError("payload too large");
-  const auto len = static_cast<std::uint32_t>(payload);
-  for (std::size_t i = 0; i < 4; ++i) {
-    frame[i] = static_cast<std::byte>((len >> (8 * i)) & 0xFF);
-  }
-  frame[4] = static_cast<std::byte>(type);
+  write_frame_header(frame.data(), static_cast<std::uint32_t>(payload), type);
   conn.send_all(frame);
 }
 
@@ -29,10 +25,7 @@ void send_frame(TcpConnection& conn, std::uint8_t type, std::span<const std::byt
 bool recv_frame(TcpConnection& conn, Frame& out) {
   std::byte header[kFrameHeaderBytes];
   if (!conn.recv_all(header)) return false;
-  std::uint32_t len = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-  }
+  const std::uint32_t len = frame_payload_len(header);
   if (len > kMaxPayload) throw ProtocolError("frame too large");
   out.type = static_cast<std::uint8_t>(header[4]);
   out.payload.resize(len);

@@ -18,8 +18,8 @@
 
 namespace via {
 
-// WireWriter and WireReader copy integers with memcpy, so the host's byte
-// order must be the wire's.
+// WireWriter, WireReader and the frame header helpers copy integers with
+// memcpy, so the host's byte order must be the wire's.
 static_assert(std::endian::native == std::endian::little,
               "the wire codec assumes a little-endian host");
 
@@ -141,6 +141,38 @@ struct Frame {
   std::uint8_t type = 0;
   std::vector<std::byte> payload;
 };
+
+/// Writes a frame header at `at` (kFrameHeaderBytes writable): the u32
+/// payload length, then the u8 message type.
+inline void write_frame_header(std::byte* at, std::uint32_t payload_len,
+                               std::uint8_t type) noexcept {
+  std::memcpy(at, &payload_len, sizeof(payload_len));
+  at[4] = static_cast<std::byte>(type);
+}
+
+/// The payload length declared by the frame header at `at`
+/// (kFrameHeaderBytes readable); the type is the header's last byte.
+[[nodiscard]] inline std::uint32_t frame_payload_len(const std::byte* at) noexcept {
+  std::uint32_t len;
+  std::memcpy(&len, at, sizeof(len));
+  return len;
+}
+
+/// Appends one whole frame to `out`: reserves the header, runs
+/// `encode(WireWriter&)` straight onto `out`, then writes the header.
+/// Returns the frame's wire size (header included).
+template <typename EncodeFn>
+std::size_t append_frame(std::vector<std::byte>& out, std::uint8_t type, EncodeFn&& encode) {
+  const std::size_t at = out.size();
+  out.resize(at + kFrameHeaderBytes);
+  {
+    WireWriter w(out);
+    encode(w);
+  }
+  const std::size_t size = out.size() - at;
+  write_frame_header(out.data() + at, static_cast<std::uint32_t>(size - kFrameHeaderBytes), type);
+  return size;
+}
 
 /// Starts a frame in `frame`: clears it and leaves room for the header, so
 /// a WireWriter borrowing `frame` appends the payload right behind it.

@@ -27,25 +27,15 @@ namespace via {
 
 namespace {
 
-/// Serializes one whole frame (u32 payload_len + u8 msg_type + payload)
-/// into `out`, so each burst goes out in one send_all and lands on the
-/// server within one readiness event.
-void append_frame(std::vector<std::byte>& out, MsgType type, const WireWriter& w) {
-  const auto payload = w.bytes();
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((len >> (8 * i)) & 0xFF));
-  }
-  out.push_back(static_cast<std::byte>(type));
-  out.insert(out.end(), payload.begin(), payload.end());
-}
-
 /// call_id for connection `c`, burst slot `k`: unique per connection so a
 /// reply can be matched back to the request it answers.
 [[nodiscard]] CallId decision_call_id(int c, int k) {
   return static_cast<CallId>(c) * 1'000'000 + k;
 }
 
+/// The encoders append a connection's whole burst of frames to `out`, so
+/// each burst goes out in one send_all and lands on the server within one
+/// readiness event.
 void encode_decision_burst(std::vector<std::byte>& out, const SoakConfig& config, int c) {
   const auto as_count = static_cast<AsId>(std::max(2, config.as_count));
   for (int k = 0; k < config.depth; ++k) {
@@ -56,9 +46,8 @@ void encode_decision_burst(std::vector<std::byte>& out, const SoakConfig& config
     req.dst_as = static_cast<AsId>(c + 1 + k) % as_count;
     if (req.dst_as == req.src_as) req.dst_as = (req.dst_as + 1) % as_count;
     req.options.assign(config.options.begin(), config.options.end());
-    WireWriter w;
-    req.encode(w);
-    append_frame(out, MsgType::DecisionRequest, w);
+    append_frame(out, static_cast<std::uint8_t>(MsgType::DecisionRequest),
+                 [&req](WireWriter& w) { req.encode(w); });
   }
 }
 
@@ -79,9 +68,8 @@ void encode_report_burst(std::vector<std::byte>& out, const SoakConfig& config, 
     msg.obs.perf.rtt_ms = 50.0 + k;
     msg.obs.perf.loss_pct = 0.5;
     msg.obs.perf.jitter_ms = 2.0;
-    WireWriter w;
-    msg.encode(w);
-    append_frame(out, MsgType::Report, w);
+    append_frame(out, static_cast<std::uint8_t>(MsgType::Report),
+                 [&msg](WireWriter& w) { msg.encode(w); });
   }
 }
 
@@ -203,6 +191,8 @@ SoakResult run_soak(const SoakConfig& config) {
   // Phase 2: timed request/reply rounds.  Each driver thread writes a
   // depth-deep burst on every connection it owns, then drains the replies,
   // keeping `depth * connections` frames pipelined across the server.
+  // Threads count locally and publish once, so the drivers share no cache
+  // line per frame.
   std::atomic<std::int64_t> sent{0};
   std::atomic<std::int64_t> received{0};
   std::atomic<std::int64_t> mismatched{0};
@@ -212,8 +202,11 @@ SoakResult run_soak(const SoakConfig& config) {
     ts.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t) {
       ts.emplace_back([&, t] {
-        std::vector<std::byte> reply;
-        try {
+        std::int64_t my_sent = 0;
+        std::int64_t my_received = 0;
+        std::int64_t my_mismatched = 0;
+        const auto drive = [&] {
+          Frame reply;
           for (int r = 0; r < rounds; ++r) {
             for (int c = t; c < conns; c += threads) {
               const auto i = static_cast<std::size_t>(c);
@@ -222,49 +215,37 @@ SoakResult run_soak(const SoakConfig& config) {
                 encode_report_burst(bursts[i], cfg, c, r);
               }
               sockets[i].send_all(bursts[i]);
-              sent.fetch_add(depth, std::memory_order_relaxed);
+              my_sent += depth;
             }
             for (int c = t; c < conns; c += threads) {
               auto& conn = sockets[static_cast<std::size_t>(c)];
               for (int k = 0; k < depth; ++k) {
-                std::byte header[5];
-                if (!conn.recv_all(header)) {
+                if (!recv_frame(conn, reply)) {
                   fail("server closed connection mid-soak");
                   return;
                 }
-                std::uint32_t len = 0;
-                for (int b = 0; b < 4; ++b) {
-                  len |= static_cast<std::uint32_t>(header[b]) << (8 * b);
-                }
-                if (len > kMaxPayload) {
-                  fail("oversized reply frame");
-                  return;
-                }
-                reply.resize(len);
-                if (len > 0 && !conn.recv_all(reply)) {
-                  fail("server closed connection mid-frame");
-                  return;
-                }
-                received.fetch_add(1, std::memory_order_relaxed);
-                const auto type = static_cast<MsgType>(header[4]);
+                ++my_received;
+                const auto type = static_cast<MsgType>(reply.type);
                 if (cfg.reports) {
-                  if (type != MsgType::ReportAck) {
-                    mismatched.fetch_add(1, std::memory_order_relaxed);
-                  }
+                  my_mismatched += type != MsgType::ReportAck;
                 } else if (type != MsgType::DecisionResponse) {
-                  mismatched.fetch_add(1, std::memory_order_relaxed);
+                  ++my_mismatched;
                 } else {
-                  WireReader rd(reply);
-                  if (DecisionResponse::decode(rd).call_id != decision_call_id(c, k)) {
-                    mismatched.fetch_add(1, std::memory_order_relaxed);
-                  }
+                  WireReader rd(reply.payload);
+                  my_mismatched += DecisionResponse::decode(rd).call_id != decision_call_id(c, k);
                 }
               }
             }
           }
+        };
+        try {
+          drive();
         } catch (const std::exception& e) {
           fail(std::string("soak I/O: ") + e.what());
         }
+        sent.fetch_add(my_sent, std::memory_order_relaxed);
+        received.fetch_add(my_received, std::memory_order_relaxed);
+        mismatched.fetch_add(my_mismatched, std::memory_order_relaxed);
       });
     }
     for (auto& th : ts) th.join();

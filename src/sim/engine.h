@@ -76,8 +76,12 @@ struct RunConfig {
   /// the replay is bit-identical to an untraced run; nonzero records 1 in
   /// N decision traces into RunResult::spans.
   obs::TraceConfig trace;
-  /// Flight-recorder ring capacity for the run (0 disables; §6g).
-  std::size_t flight_capacity = 4096;
+  /// Flight-recorder ring capacity for the run (0 disables; §6g).  A
+  /// replay records refresh and fault events only (a Medium replay 58, the
+  /// fault tests at most 144), so 1024 keeps every one; the reservation
+  /// stays under glibc's 128 KiB mmap threshold, which a larger per-run
+  /// ring raises for the rest of the process.
+  std::size_t flight_capacity = 1024;
   /// Windowed time series (§6g): close a telemetry window every this many
   /// sim seconds into RunResult::timeseries, each annotated with the
   /// window's evaluated-call count, mean PNR, and mean RTT.  0 disables.

@@ -54,6 +54,16 @@ TEST(Testbed, PicksBestSometimesButNotAlways) {
   EXPECT_LT(r.fraction_best(), 0.95);
 }
 
+TEST(Testbed, FaultPlanImpairsSamplesAndEveryEvalCallFinishes) {
+  const FaultPlan plan = FaultPlan::parse("outage:relay=2,start=0,end=86400");
+  TestbedConfig config = small_config();
+  config.faults = &plan;
+  const TestbedResult r = run_testbed(config);
+  EXPECT_GT(r.fault_impaired_samples, 0);
+  EXPECT_EQ(r.eval_calls, config.client_pairs * config.eval_calls_per_pair);
+  EXPECT_EQ(r.suboptimality.size(), static_cast<std::size_t>(r.eval_calls));
+}
+
 TEST(Testbed, FractionBestZeroWhenEmpty) {
   TestbedResult r;
   EXPECT_EQ(r.fraction_best(), 0.0);

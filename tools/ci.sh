@@ -6,7 +6,8 @@
 # and a Release (-O2 -DNDEBUG) bench smoke that emits BENCH_core.json and
 # gates it against bench/thresholds.json (failing, tools/check_bench.py;
 # the bench is retried a couple of times so a transient load spike on the
-# runner does not fail the pipeline — a real regression fails every try).
+# runner does not fail the pipeline — a real regression fails every try),
+# plus a faulted bench_fig18_deployment run that must impair samples.
 # Set VIA_CI_TSAN=1 to additionally run the threaded tests (including the
 # reactor worker hammer in test_reactor, test_rpc, whose servers run
 # reactor workers, and test_obs, whose decision-ring hammer records from
@@ -62,6 +63,14 @@ if [[ "$bench_ok" != "1" ]]; then
 fi
 echo "BENCH_core.json:"
 cat "$BUILD_DIR-release/BENCH_core.json"
+
+echo "== release: bench_fig18_deployment --fault-plan smoke =="
+# The faulted testbed (§6f): the run must exit 0 and the plan must impair
+# at least one ground-truth sample.
+fig18_out=$("$BUILD_DIR-release/bench/bench_fig18_deployment" \
+  --fault-plan "outage:relay=2,start=0,end=86400")
+grep "fault-impaired samples" <<<"$fig18_out"
+grep -Eq '^fault-impaired samples: [1-9][0-9]*$' <<<"$fig18_out"
 
 echo "== release: bench_scale smoke (1M calls / 100k pairs, bounded RSS) =="
 # The §6i streaming-scale smoke: a bounded-memory replay that must finish
