@@ -156,11 +156,12 @@ void BM_BanditPick(benchmark::State& state) {
     r.pred.lower = 90.0 + i;
     arms.push_back(r);
   }
+  const BanditConfig config;
   UcbBandit bandit;
-  bandit.set_arms(arms, {});
+  bandit.set_arms(arms, config);
   Rng rng(9);
   for (auto _ : state) {
-    const OptionId pick = bandit.pick();
+    const OptionId pick = bandit.pick(config);
     bandit.observe(pick, 100.0 + rng.uniform(0, 20));
     benchmark::DoNotOptimize(pick);
   }

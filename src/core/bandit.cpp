@@ -9,7 +9,6 @@ void UcbBandit::set_arms(std::span<const RankedOption> top_k, const BanditConfig
                          const UcbBandit* carry_from) {
   const std::vector<Arm> previous =
       carry_from != nullptr ? carry_from->arms_ : std::vector<Arm>{};
-  config_ = config;
   arms_.clear();
   arms_.reserve(top_k.size());
   total_plays_ = 0;
@@ -39,41 +38,11 @@ void UcbBandit::set_arms(std::span<const RankedOption> top_k, const BanditConfig
     arms_.push_back(arm);
     upper_sum += r.pred.upper;
   }
-  if (config_.normalization == BanditNormalization::MeanUpperBound && !top_k.empty()) {
+  if (config.normalization == BanditNormalization::MeanUpperBound && !top_k.empty()) {
     w_ = std::max(1e-9, upper_sum / static_cast<double>(top_k.size()));
   } else {
     w_ = 1.0;  // MaxObserved adjusts dynamically as rewards arrive
   }
-}
-
-OptionId UcbBandit::pick() const {
-  if (arms_.empty()) return kInvalidOption;
-
-  const double t = static_cast<double>(total_plays_ + 1);
-  double best_index = std::numeric_limits<double>::infinity();
-  OptionId best = kInvalidOption;
-
-  const double w = config_.normalization == BanditNormalization::MaxObserved
-                       ? std::max(1e-9, max_observed_)
-                       : w_;
-
-  // index(r) = mean/w - sqrt(c*ln T)/sqrt(n_r); hoisting the shared
-  // sqrt(c*ln T) and the division by w leaves one multiply-subtract per arm.
-  const double bonus = std::sqrt(config_.exploration_coefficient * std::log(t));
-  const double inv_w = 1.0 / w;
-  for (const auto& arm : arms_) {
-    double index;
-    if (arm.plays == 0) {
-      index = -std::numeric_limits<double>::infinity();
-    } else {
-      index = arm.mean_cost * inv_w - bonus * arm.inv_sqrt_plays;
-    }
-    if (index < best_index) {
-      best_index = index;
-      best = arm.option;
-    }
-  }
-  return best;
 }
 
 void UcbBandit::observe(OptionId option, double cost) {

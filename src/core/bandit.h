@@ -52,12 +52,16 @@ class UcbBandit {
                 const UcbBandit* carry_from = nullptr);
 
   /// Picks the arm with the minimum UCB index; kInvalidOption if armless.
-  [[nodiscard]] OptionId pick() const;
+  /// `config` is the policy-wide config the arms were installed with (its
+  /// normalization and exploration coefficient); the bandit keeps no copy.
+  [[nodiscard]] OptionId pick(const BanditConfig& config) const {
+    return pick_if(config, [](OptionId) { return true; });
+  }
 
   /// pick(), skipping arms whose option the predicate rejects (relay
   /// quarantine filtering); kInvalidOption when every arm is rejected.
   template <typename Pred>
-  [[nodiscard]] OptionId pick_if(Pred&& allowed) const;
+  [[nodiscard]] OptionId pick_if(const BanditConfig& config, Pred&& allowed) const;
 
   /// Records an observed cost for an arm (no-op for unknown arms, which can
   /// happen for ε-exploration picks outside the top-k).
@@ -95,23 +99,24 @@ class UcbBandit {
   double w_ = 1.0;
   double max_observed_ = 0.0;
   std::int64_t total_plays_ = 0;
-  BanditConfig config_;
 };
 
 template <typename Pred>
-OptionId UcbBandit::pick_if(Pred&& allowed) const {
+OptionId UcbBandit::pick_if(const BanditConfig& config, Pred&& allowed) const {
   if (arms_.empty()) return kInvalidOption;
 
   const double t = static_cast<double>(total_plays_ + 1);
   double best_index = std::numeric_limits<double>::infinity();
   OptionId best = kInvalidOption;
 
-  const double w = config_.normalization == BanditNormalization::MaxObserved
+  const double w = config.normalization == BanditNormalization::MaxObserved
                        ? (max_observed_ > 1e-9 ? max_observed_ : 1e-9)
                        : w_;
-  const double bonus = std::sqrt(config_.exploration_coefficient * std::log(t));
+  // index(r) = mean/w - sqrt(c*ln T)/sqrt(n_r); hoisting the shared
+  // sqrt(c*ln T) and the division by w leaves one multiply-subtract per arm.
+  // The predicate only prunes; ties keep the earliest arm.
+  const double bonus = std::sqrt(config.exploration_coefficient * std::log(t));
   const double inv_w = 1.0 / w;
-  // Same index and tie-breaking as pick(); the predicate only prunes.
   for (const auto& arm : arms_) {
     if (!allowed(arm.option)) continue;
     double index;

@@ -508,7 +508,7 @@ OptionId ViaPolicy::choose_with(const ModelSnapshot& snap, const CallContext& ca
   }
 
   // Stage 4a: modified-UCB1 over the top-k candidates.
-  OptionId pick = state->bandit.pick();
+  OptionId pick = state->bandit.pick(config_.bandit);
   span.stage("bandit_pick");
   span.name_tail("budget");
   if (pick == kInvalidOption) {
@@ -526,7 +526,7 @@ OptionId ViaPolicy::choose_with(const ModelSnapshot& snap, const CallContext& ca
     // The bandit's pick rides a quarantined relay: substitute its best
     // unblocked arm, or fall all the way back to direct when the outage
     // has taken the entire candidate set down.
-    pick = state->bandit.pick_if([&](OptionId o) { return !health_blocks(o); });
+    pick = state->bandit.pick_if(config_.bandit, [&](OptionId o) { return !health_blocks(o); });
     span.stage("health_filter");
     if (pick == kInvalidOption) {
       stats.outage_fallback_direct.inc();

@@ -1,5 +1,6 @@
 // ScopedTimer: RAII span helper that measures a scope's wall time and
-// records it into a LatencyHistogram (in microseconds) on destruction.
+// records it into a LatencyHistogram (in microseconds unless a finer unit
+// is named) on destruction.
 //
 //   obs::ScopedTimer timer(registry.histogram("rpc.server.request_us",
 //                                             obs::kLatencyBoundsUs));
@@ -10,6 +11,7 @@
 
 #include <array>
 #include <chrono>
+#include <ratio>
 
 #include "obs/metrics.h"
 
@@ -27,6 +29,11 @@ inline constexpr std::array<double, 16> kLatencyBoundsNs{
     32,   64,   128,   256,   512,   1024,   2048,   4096,
     8192, 16384, 32768, 65536, 131072, 262144, 524288, 1048576};
 
+/// Observes the scope's wall time into `hist` on destruction, in `Unit`s
+/// of a second: microseconds by default (kLatencyBoundsUs histograms),
+/// ScopedTimer<std::nano> for hot paths recorded against
+/// kLatencyBoundsNs-shaped histograms.
+template <typename Unit = std::micro>
 class ScopedTimer {
  public:
   explicit ScopedTimer(LatencyHistogram& hist) noexcept
@@ -41,41 +48,11 @@ class ScopedTimer {
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
   ~ScopedTimer() {
-    if (hist_ != nullptr) hist_->observe(elapsed_us());
+    if (hist_ != nullptr) hist_->observe(elapsed());
   }
 
-  [[nodiscard]] double elapsed_us() const noexcept {
-    return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-
- private:
-  LatencyHistogram* hist_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// ScopedTimer's nanosecond sibling, for hot paths recorded against
-/// kLatencyBoundsNs-shaped histograms.
-class ScopedTimerNs {
- public:
-  explicit ScopedTimerNs(LatencyHistogram& hist) noexcept
-      : hist_(&hist), start_(std::chrono::steady_clock::now()) {}
-  /// No-op timer when `hist` is null (telemetry disabled).
-  explicit ScopedTimerNs(LatencyHistogram* hist) noexcept
-      : hist_(hist),
-        start_(hist != nullptr ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{}) {}
-
-  ScopedTimerNs(const ScopedTimerNs&) = delete;
-  ScopedTimerNs& operator=(const ScopedTimerNs&) = delete;
-
-  ~ScopedTimerNs() {
-    if (hist_ != nullptr) hist_->observe(elapsed_ns());
-  }
-
-  [[nodiscard]] double elapsed_ns() const noexcept {
-    return std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start_)
-        .count();
+  [[nodiscard]] double elapsed() const noexcept {
+    return std::chrono::duration<double, Unit>(std::chrono::steady_clock::now() - start_).count();
   }
 
  private:

@@ -57,14 +57,9 @@ class PolicyLock {
   const bool shared_;
 };
 
-/// The calling worker thread's decision scratch: one for the per-frame
-/// path, one for batches, so trimming after a single request walks one
-/// request slot rather than a batch's worth.
-DecideScratch& single_scratch() {
-  thread_local DecideScratch scratch;
-  return scratch;
-}
-DecideScratch& batch_scratch() {
+/// The calling worker thread's decision scratch (every decision run on
+/// this thread reuses it).
+DecideScratch& decide_scratch() {
   thread_local DecideScratch scratch;
   return scratch;
 }
@@ -300,34 +295,6 @@ bool ControllerServer::dispatch_frame(const Frame& frame, ReactorConn& conn) {
     tel_bytes_out_->inc(bytes(conn.send(type, msg...)));
   };
   switch (static_cast<MsgType>(frame.type)) {
-    case MsgType::DecisionRequest: {
-      DecideScratch& scratch = single_scratch();
-      const DecideScratch::Lease lease(scratch);
-      DecisionRequest& req = scratch.requests(1)[0];
-      DecisionRequest::decode_into(reader, req);
-      CallContext ctx = call_context(req);
-      // Request tracing (§6g): adopt the client's trace id (or derive a
-      // deterministic one) and parent the policy's choose sub-spans
-      // under this handler's rpc.decide span.
-      std::uint64_t trace_id = req.trace_id;
-      if (tracer_ != nullptr && trace_id == 0) {
-        trace_id = obs::derive_trace_id(static_cast<std::uint64_t>(req.call_id));
-      }
-      obs::ScopedSpan srv_span(tracer_, trace_id, 0, "rpc.decide");
-      ctx.trace_id = trace_id;
-      ctx.parent_span = srv_span.span_id();
-      DecisionResponse resp;
-      resp.call_id = req.call_id;
-      resp.replica_id = config_.replica_id;
-      resp.ring_epoch = config_.ring_epoch;
-      {
-        const PolicyLock lock(policy_mutex_, policy_concurrent_);
-        resp.option = policy_->choose(ctx);
-      }
-      tel_decisions_->inc();
-      reply(MsgType::DecisionResponse, resp);
-      break;
-    }
     case MsgType::Report: {
       const ReportMsg msg = ReportMsg::decode(reader);
       // Idempotency (§6f): a client that timed out and resent gets its
@@ -463,6 +430,7 @@ std::size_t ControllerServer::handle_reactor_frames(ReactorConn& conn, std::span
     }
   } pending{this, frames.size()};
 
+  constexpr auto kDecision = static_cast<std::uint8_t>(MsgType::DecisionRequest);
   std::size_t i = 0;
   while (i < frames.size()) {
     // Backpressure (§6j): once this connection's write queue is at its
@@ -473,64 +441,40 @@ std::size_t ControllerServer::handle_reactor_frames(ReactorConn& conn, std::span
       pending.remaining = 0;
       return i;
     }
-    // Batched decision path (§6h): a run of DecisionRequests decoded from
-    // one readiness event is served under one policy-lock acquire and one
-    // model-snapshot pin.  Tracing keeps the per-frame path (exact spans),
-    // and so does a configured inflight cap (exact shed accounting).
-    if (tracer_ == nullptr && config_.max_inflight <= 0 &&
-        frames[i].type == static_cast<std::uint8_t>(MsgType::DecisionRequest)) {
-      std::size_t j = i + 1;
-      while (j < frames.size() &&
-             frames[j].type == static_cast<std::uint8_t>(MsgType::DecisionRequest)) {
-        ++j;
-      }
-      // A DecisionResponse frame is 29 bytes on the wire; clamping the
-      // run to the queue's headroom keeps one batch from overshooting the
-      // cap by more than the final response.
-      const std::size_t headroom_frames =
-          std::max<std::size_t>(1, conn.write_headroom() / kDecisionResponseEstimate);
-      const std::size_t run = std::min(j - i, headroom_frames);
-      if (run >= 2) {
-        bool keep_open = true;
-        try {
-          process_decision_batch(frames.subspan(i, run), conn);
-        } catch (const ProtocolError& e) {
-          send_protocol_error(conn, static_cast<std::uint8_t>(MsgType::DecisionRequest), e);
-          keep_open = false;
-        }
-        note_requests_done(run);
-        pending.remaining -= run;
-        i += run;
-        if (!keep_open) {
-          conn.close_after_flush();
-          return frames.size();
-        }
-        continue;
-      }
-    }
-    const Frame& frame = frames[i];
-    tel_bytes_in_->inc(bytes(frame.payload.size() + kFrameHeaderBytes));
+    std::size_t run = 1;
     bool keep_open = true;
-    {
-      const obs::ScopedTimer request_timer(*tel_request_us_);
-      const auto msg_type = static_cast<MsgType>(frame.type);
-      const bool sheddable = msg_type == MsgType::DecisionRequest ||
-                             msg_type == MsgType::Report || msg_type == MsgType::Refresh;
-      const std::int64_t inflight_now = inflight_.load();
-      if (config_.max_inflight > 0 && sheddable && inflight_now > config_.max_inflight) {
-        send_busy(conn, frame.type, inflight_now);
+    try {
+      if (frames[i].type == kDecision) {
+        // Every run of consecutive DecisionRequests, a lone one included,
+        // is served by process_decision_batch (§6h).  Clamping the run to
+        // the queue's headroom keeps one run from overshooting the cap by
+        // more than its final response.
+        std::size_t j = i + 1;
+        while (j < frames.size() && frames[j].type == kDecision) ++j;
+        const std::size_t headroom_frames =
+            std::max<std::size_t>(1, conn.write_headroom() / kDecisionResponseEstimate);
+        run = std::min(j - i, headroom_frames);
+        process_decision_batch(frames.subspan(i, run), conn);
       } else {
-        try {
+        const Frame& frame = frames[i];
+        tel_bytes_in_->inc(bytes(frame.payload.size() + kFrameHeaderBytes));
+        const obs::ScopedTimer request_timer(*tel_request_us_);
+        const auto msg_type = static_cast<MsgType>(frame.type);
+        const bool sheddable = msg_type == MsgType::Report || msg_type == MsgType::Refresh;
+        const std::int64_t inflight_now = inflight_.load();
+        if (config_.max_inflight > 0 && sheddable && inflight_now > config_.max_inflight) {
+          send_busy(conn, frame.type, inflight_now);
+        } else {
           keep_open = dispatch_frame(frame, conn);
-        } catch (const ProtocolError& e) {
-          send_protocol_error(conn, frame.type, e);
-          keep_open = false;
         }
       }
+    } catch (const ProtocolError& e) {
+      send_protocol_error(conn, frames[i].type, e);
+      keep_open = false;
     }
-    note_requests_done(1);
-    pending.remaining -= 1;
-    ++i;
+    note_requests_done(run);
+    pending.remaining -= run;
+    i += run;
     if (!keep_open) {
       conn.close_after_flush();
       return frames.size();
@@ -543,11 +487,24 @@ void ControllerServer::process_decision_batch(std::span<Frame> frames, ReactorCo
   // One histogram observation for the whole run: request_us then reflects
   // per-wakeup serving cost instead of synthetic per-frame slices.
   const obs::ScopedTimer request_timer(*tel_request_us_);
-  DecideScratch& scratch = batch_scratch();
+  std::size_t bytes_in = 0;
+  // Shedding (§6f): inflight is read once per run.  Each frame the server
+  // disposes of settles one charge, so "shed while inflight > cap" sheds
+  // the run's head and serves its tail.
+  if (config_.max_inflight > 0) {
+    const std::int64_t inflight_now = inflight_.load();
+    const auto shed = static_cast<std::size_t>(std::clamp<std::int64_t>(
+        inflight_now - config_.max_inflight, 0, static_cast<std::int64_t>(frames.size())));
+    for (std::size_t k = 0; k < shed; ++k) {
+      bytes_in += frames[k].payload.size() + kFrameHeaderBytes;
+      send_busy(conn, frames[k].type, inflight_now - static_cast<std::int64_t>(k));
+    }
+    frames = frames.subspan(shed);
+  }
+  DecideScratch& scratch = decide_scratch();
   const DecideScratch::Lease lease(scratch);
   const std::span<DecisionRequest> reqs = scratch.requests(frames.size());
   std::size_t n = 0;
-  std::size_t bytes_in = 0;
   std::exception_ptr decode_error;
   for (const Frame& frame : frames) {
     bytes_in += frame.payload.size() + kFrameHeaderBytes;
@@ -566,9 +523,25 @@ void ControllerServer::process_decision_batch(std::span<Frame> frames, ReactorCo
   scratch.ctxs.resize(n);
   scratch.picks.resize(n);
   for (std::size_t i = 0; i < n; ++i) scratch.ctxs[i] = call_context(reqs[i]);
-  {
+  if (n > 0) {
     const PolicyLock lock(policy_mutex_, policy_concurrent_);
-    policy_->choose_batch(scratch.ctxs, scratch.picks);
+    if (tracer_ != nullptr) {
+      // Request tracing (§6g): adopt each client's trace id (or derive a
+      // deterministic one) and run that request's choose() under its own
+      // rpc.decide span, so the policy's sub-spans parent under it.  The
+      // choose_batch contract makes this loop equal to the batch.
+      for (std::size_t i = 0; i < n; ++i) {
+        CallContext& ctx = scratch.ctxs[i];
+        ctx.trace_id = reqs[i].trace_id != 0
+                           ? reqs[i].trace_id
+                           : obs::derive_trace_id(static_cast<std::uint64_t>(reqs[i].call_id));
+        const obs::ScopedSpan span(tracer_, ctx.trace_id, 0, "rpc.decide");
+        ctx.parent_span = span.span_id();
+        scratch.picks[i] = policy_->choose(ctx);
+      }
+    } else {
+      policy_->choose_batch(scratch.ctxs, scratch.picks);
+    }
   }
   tel_decisions_->inc(static_cast<std::int64_t>(n));
   DecisionResponse resp;

@@ -1,9 +1,13 @@
 // Controller server: hosts a RoutingPolicy behind the TCP protocol.  All
 // connections are served by the event-driven epoll reactor (§6h, §6j) — a
 // small worker pool with per-connection buffers and incremental frame
-// decode; runs of DecisionRequests decoded from one readiness event are
-// answered through RoutingPolicy::choose_batch under a single policy-lock
-// acquire.  The policy sits behind a reader-writer lock:
+// decode.  Every DecisionRequest is served by one function: a run of
+// consecutive DecisionRequests decoded from one readiness event (a lone
+// one included) sheds its head past the inflight cap, then answers the
+// rest under a single policy-lock acquire — through
+// RoutingPolicy::choose_batch, or one choose() per request under its own
+// rpc.decide span when tracing is on.  The policy sits behind a
+// reader-writer lock:
 // when the policy declares itself concurrent-safe (ViaPolicy does — see
 // RoutingPolicy::concurrent_safe()), decision and report handlers take the
 // lock shared, so clients are served in parallel.
@@ -75,7 +79,8 @@ struct ServerConfig {
 
   /// Request tracing (§6g): record 1 in `trace_sample` decision traces
   /// (0 disables tracing entirely; 1 records everything).  Sampled traces
-  /// cover the rpc.decide span plus the policy's choose sub-stages, held
+  /// cover each request's rpc.decide span (its choose() call inside the
+  /// run's policy-lock acquire) plus the policy's choose sub-stages, held
   /// in the tracer's span ring (obs::kEventRingCapacity spans per
   /// recording thread), dumpable via GetTrace.  The flight recorder keeps
   /// as many events per thread; it is fed by rare structural events only
@@ -179,19 +184,26 @@ class ControllerServer {
   [[nodiscard]] obs::TimeSeries timeseries() const;
 
  private:
-  /// Serves one decoded request frame (the protocol switch).  Returns
-  /// false on Shutdown — the caller closes the connection.  Throws
-  /// ProtocolError on malformed payloads.
+  /// Serves one decoded non-decision frame (the protocol switch).
+  /// Returns false on Shutdown — the caller closes the connection.  Throws
+  /// ProtocolError on malformed payloads and on a DecisionRequest, which
+  /// only process_decision_batch serves.
   bool dispatch_frame(const Frame& frame, ReactorConn& conn);
-  /// Reactor frame handler: serves a connection's decoded batch, shedding
-  /// past the inflight cap and batching runs of DecisionRequests through
-  /// choose_batch when tracing and shedding are off.  Returns the number
-  /// of frames disposed of; a partial count means the connection's write
-  /// queue hit its cap and the reactor must redispatch the rest after
-  /// drain (those frames stay charged as inflight).
+  /// Reactor frame handler: serves a connection's decoded frames in order.
+  /// Each run of consecutive DecisionRequests (a lone one included),
+  /// clamped to the write queue's headroom, goes to process_decision_batch;
+  /// every other frame goes to dispatch_frame, with Report and Refresh
+  /// shed past the inflight cap.  Returns the number of frames disposed
+  /// of; a partial count means the connection's write queue hit its cap
+  /// and the reactor must redispatch the rest after drain (those frames
+  /// stay charged as inflight).
   std::size_t handle_reactor_frames(ReactorConn& conn, std::span<Frame> frames);
-  /// One policy-lock acquire and one snapshot pin for a whole run of
-  /// DecisionRequests decoded from a single readiness event (§6h).
+  /// The only code that serves DecisionRequests (§6h).  With an inflight
+  /// cap, reads inflight once and answers Busy to the run's first
+  /// clamp(inflight - max_inflight, 0, run) frames; the rest are decoded
+  /// and answered under one policy-lock acquire (one snapshot pin), with
+  /// one request_us observation for the run.  A decode error serves the
+  /// cleanly decoded prefix, then rethrows the ProtocolError.
   void process_decision_batch(std::span<Frame> frames, ReactorConn& conn);
   void send_busy(ReactorConn& conn, std::uint8_t frame_type, std::int64_t inflight_now);
   /// Error reply + accounting for a protocol violation; the reactor closes

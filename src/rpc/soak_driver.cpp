@@ -1,7 +1,9 @@
 #include "rpc/soak_driver.h"
 
+#include <poll.h>
 #include <spawn.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -14,9 +16,12 @@
 #include <iostream>
 #include <mutex>
 #include <sstream>
+#include <system_error>
 #include <thread>
 
 #include "obs/export.h"
+#include "rpc/conn_buffer.h"
+#include "rpc/errors.h"
 #include "rpc/framing.h"
 #include "rpc/messages.h"
 #include "rpc/socket.h"
@@ -71,6 +76,41 @@ void encode_report_burst(std::vector<std::byte>& out, const SoakConfig& config, 
     append_frame(out, static_cast<std::uint8_t>(MsgType::Report),
                  [&msg](WireWriter& w) { msg.encode(w); });
   }
+}
+
+/// Bytes asked of one recv: a whole reply burst fits, and it is no more
+/// than a ReadBuffer keeps between reads (kRetainCapacity).
+constexpr std::size_t kReplyChunk = kRetainCapacity;
+
+/// Next reply frame on `conn`, read through `in`: one poll under the
+/// receive deadline and one recv per chunk, so a chunk holding a whole
+/// burst of replies costs two syscalls, not two per frame.  Returns false
+/// on a clean EOF; throws on a deadline miss, an EOF mid-frame, an I/O
+/// error, or a header declaring more than kMaxPayload bytes.
+bool next_reply(TcpConnection& conn, ReadBuffer& in, Frame& out, int timeout_ms) {
+  while (!in.next_frame(out)) {
+    if (timeout_ms > 0) {
+      pollfd pfd{conn.fd(), POLLIN, 0};
+      int r;
+      do {
+        r = ::poll(&pfd, 1, timeout_ms);
+      } while (r < 0 && errno == EINTR);
+      if (r < 0) throw std::system_error(errno, std::generic_category(), "poll");
+      if (r == 0) throw RpcError(RpcErrorKind::Timeout, "recv deadline expired");
+    }
+    const std::span<std::byte> tail = in.writable(kReplyChunk);
+    const ssize_t n = ::recv(conn.fd(), tail.data(), tail.size(), 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw std::system_error(errno, std::generic_category(), "recv");
+    }
+    if (n == 0) {
+      if (in.buffered() == 0) return false;
+      throw std::runtime_error("connection closed mid-frame");
+    }
+    in.commit(static_cast<std::size_t>(n));
+  }
+  return true;
 }
 
 void append_json_number(std::string& out, std::string_view key, double v) {
@@ -166,7 +206,6 @@ SoakResult run_soak(const SoakConfig& config) {
           for (int attempt = 0;; ++attempt) {
             try {
               sockets[i] = TcpConnection::connect_local(cfg.port);
-              sockets[i].set_recv_timeout_ms(cfg.recv_timeout_ms);
               connected.fetch_add(1, std::memory_order_relaxed);
               break;
             } catch (const std::exception& e) {
@@ -206,6 +245,11 @@ SoakResult run_soak(const SoakConfig& config) {
         std::int64_t my_received = 0;
         std::int64_t my_mismatched = 0;
         const auto drive = [&] {
+          // One reply buffer per thread: each connection's replies are
+          // drained whole before the next connection is read, so bytes
+          // left over after a connection's `depth` replies are an extra
+          // reply, not the start of another connection's.
+          ReadBuffer in;
           Frame reply;
           for (int r = 0; r < rounds; ++r) {
             for (int c = t; c < conns; c += threads) {
@@ -220,7 +264,7 @@ SoakResult run_soak(const SoakConfig& config) {
             for (int c = t; c < conns; c += threads) {
               auto& conn = sockets[static_cast<std::size_t>(c)];
               for (int k = 0; k < depth; ++k) {
-                if (!recv_frame(conn, reply)) {
+                if (!next_reply(conn, in, reply, cfg.recv_timeout_ms)) {
                   fail("server closed connection mid-soak");
                   return;
                 }
@@ -234,6 +278,10 @@ SoakResult run_soak(const SoakConfig& config) {
                   WireReader rd(reply.payload);
                   my_mismatched += DecisionResponse::decode(rd).call_id != decision_call_id(c, k);
                 }
+              }
+              if (in.buffered() > 0) {
+                fail("server sent more replies than requests");
+                return;
               }
             }
           }

@@ -242,7 +242,7 @@ RunResult SimulationEngine::run(RoutingPolicy& policy) {
       // all measurements back (racing is free information, paid in setup
       // traffic).
       const auto raced = [&] {
-        const obs::ScopedTimerNs timer(tel_choose_ns);
+        const obs::ScopedTimer<std::nano> timer(tel_choose_ns);
         return policy.choose_candidates(ctx);
       }();
       option = raced.front();
@@ -268,7 +268,7 @@ RunResult SimulationEngine::run(RoutingPolicy& policy) {
       result.raced_extra_samples += static_cast<std::int64_t>(raced.size()) - 1;
     } else {
       {
-        const obs::ScopedTimerNs timer(tel_choose_ns);
+        const obs::ScopedTimer<std::nano> timer(tel_choose_ns);
         option = policy.choose(ctx);
       }
       perf = sample(arrival.id, arrival.src_as, arrival.dst_as, option, arrival.time);

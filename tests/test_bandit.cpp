@@ -30,7 +30,7 @@ BanditConfig no_seed() {
 TEST(UcbBandit, NoArmsReturnsInvalid) {
   UcbBandit b;
   EXPECT_FALSE(b.has_arms());
-  EXPECT_EQ(b.pick(), kInvalidOption);
+  EXPECT_EQ(b.pick({}), kInvalidOption);
 }
 
 TEST(UcbBandit, UnplayedArmsTriedFirst) {
@@ -39,7 +39,7 @@ TEST(UcbBandit, UnplayedArmsTriedFirst) {
   // First three picks must cover all three arms.
   std::set<OptionId> seen;
   for (int i = 0; i < 3; ++i) {
-    const OptionId pick = b.pick();
+    const OptionId pick = b.pick(no_seed());
     seen.insert(pick);
     b.observe(pick, 100.0);
   }
@@ -64,7 +64,7 @@ TEST(UcbBandit, ConvergesToBestArm) {
   int best_picks = 0;
   const int rounds = 500;
   for (int i = 0; i < rounds; ++i) {
-    const OptionId pick = b.pick();
+    const OptionId pick = b.pick(no_seed());
     if (pick == 1) ++best_picks;
     b.observe(pick, cost_of(pick));
   }
@@ -78,7 +78,7 @@ TEST(UcbBandit, KeepsExploringOccasionally) {
   // Arm 1 is clearly better, but UCB's log(T) bonus must still revisit 2.
   int second_picks = 0;
   for (int i = 0; i < 2000; ++i) {
-    const OptionId pick = b.pick();
+    const OptionId pick = b.pick({});
     if (pick == 2) ++second_picks;
     b.observe(pick, pick == 1 ? 100.0 : 140.0);
   }
@@ -100,7 +100,7 @@ TEST(UcbBandit, SetArmsResetsState) {
   EXPECT_EQ(b.total_plays(), 1);
   b.set_arms(make_arms({{2, 100.0}}), no_seed());
   EXPECT_EQ(b.total_plays(), 0);
-  EXPECT_EQ(b.pick(), 2);
+  EXPECT_EQ(b.pick(no_seed()), 2);
 }
 
 TEST(UcbBandit, PredictionSeedingRanksArmsWithoutPlays) {
@@ -108,7 +108,7 @@ TEST(UcbBandit, PredictionSeedingRanksArmsWithoutPlays) {
   // Seeded with pred.mean = 0.9 * upper: arm 1 starts best.
   b.set_arms(make_arms({{2, 200.0}, {1, 100.0}, {3, 300.0}}), {});
   EXPECT_EQ(b.total_plays(), 3);  // one pseudo-observation per arm
-  EXPECT_EQ(b.pick(), 1);
+  EXPECT_EQ(b.pick({}), 1);
 }
 
 TEST(UcbBandit, CarryOverKeepsSurvivingArmStats) {
@@ -123,10 +123,10 @@ TEST(UcbBandit, CarryOverKeepsSurvivingArmStats) {
   next.set_arms(make_arms({{1, 100.0}, {3, 100.0}}), config, &b);
   // Arm 1 carried 5 decayed plays; arm 3 is fresh and gets tried first.
   EXPECT_EQ(next.total_plays(), 5);
-  EXPECT_EQ(next.pick(), 3);
+  EXPECT_EQ(next.pick(config), 3);
   next.observe(3, 95.0);
   // With arm 3 looking worse, the carried knowledge favours arm 1.
-  EXPECT_EQ(next.pick(), 1);
+  EXPECT_EQ(next.pick(config), 1);
 }
 
 TEST(UcbBandit, FullResetWhenCarryZero) {
@@ -155,7 +155,7 @@ TEST(UcbBandit, PaperNormalizationDiscriminatesUnderOutliers) {
     Rng rng(11);
     int best = 0;
     for (int i = 0; i < 600; ++i) {
-      const OptionId pick = b.pick();
+      const OptionId pick = b.pick(config);
       double cost = pick == 1 ? 100.0 : 140.0;
       // Rare huge spikes on the worse arm: they inflate the max-observed
       // normalizer, shrinking all index differences below the exploration
@@ -184,7 +184,7 @@ TEST_P(BanditGap, LargerGapsEasierToExploit) {
   int best = 0;
   const int rounds = 600;
   for (int i = 0; i < rounds; ++i) {
-    const OptionId pick = b.pick();
+    const OptionId pick = b.pick({});
     const double base = pick == 1 ? 100.0 : 100.0 + gap;
     if (pick == 1) ++best;
     b.observe(pick, base * rng.lognormal_mean_cv(1.0, 0.15));

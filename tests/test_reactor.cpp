@@ -1,7 +1,8 @@
 // Event-driven serving tests (DESIGN.md §6h/§6j): the epoll reactor must
 // keep every protocol behavior — round trips, shedding, client deadlines,
-// protocol-error replies, graceful drain — while adding pipelined frame
-// batching through RoutingPolicy::choose_batch.  The BackendReactor suite
+// protocol-error replies, graceful drain — while serving every run of
+// DecisionRequests (lone, pipelined, shed or traced) through one batched
+// path built on RoutingPolicy::choose_batch.  The BackendReactor suite
 // at the bottom pins protocol, backpressure, and pinning behaviors
 // (DESIGN.md §6j).
 // This file also runs under TSan in CI (tools/ci.sh): the hammer test
@@ -14,12 +15,16 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/via_policy.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "rpc/client.h"
 #include "rpc/errors.h"
 #include "rpc/framing.h"
@@ -235,6 +240,69 @@ TEST(Reactor, PipelinedMixedFramesAnswerInOrder) {
   EXPECT_EQ(policy.observed.load(), 3);
 }
 
+TEST(Reactor, TracedPipelinedBurstSpansEveryRequest) {
+  // Tracing rides the one decision path: every request of a traced burst
+  // gets its own rpc.decide span, and the policy's choose span for that
+  // request names it as parent.
+  RelayOptionTable options;
+  (void)options.intern_bounce(0);
+  (void)options.intern_bounce(1);
+  ViaPolicy policy(options, [](RelayId, RelayId) { return PathPerformance{}; });
+  ServerConfig config = reactor_config();
+  config.trace_sample = 1;
+  ControllerServer server(policy, 0, config);
+  server.start();
+
+  constexpr int kFrames = 16;
+  constexpr int kBase = 500;
+  TcpConnection conn = TcpConnection::connect_local(server.port());
+  conn.send_all(encode_decision_burst(kFrames, kBase));
+  for (int i = 0; i < kFrames; ++i) {
+    Frame reply;
+    ASSERT_TRUE(recv_frame(conn, reply));
+    ASSERT_EQ(reply.type, static_cast<std::uint8_t>(MsgType::DecisionResponse));
+    WireReader r(reply.payload);
+    EXPECT_EQ(DecisionResponse::decode(r).call_id, kBase + i);
+  }
+  conn.close();
+
+  ControllerClient client(server.port());
+  const std::string doc = client.get_trace();
+  client.shutdown();
+  server.stop();
+
+  // trace id (hex, as exported) -> span id of its rpc.decide span, and
+  // -> parent id of its policy.choose span.
+  std::map<std::string, std::string> decide_span;
+  std::map<std::string, std::string> choose_parent;
+  int decide_spans = 0;
+  for (std::size_t at = doc.find("{\"name\":"); at != std::string::npos;) {
+    const std::size_t next = doc.find("{\"name\":", at + 1);
+    const std::string_view event(doc.data() + at,
+                                 (next == std::string::npos ? doc.size() : next) - at);
+    at = next;
+    const auto name = obs::json_string(event, "name");
+    const auto trace = obs::json_string(event, "trace");
+    const auto span = obs::json_string(event, "span");
+    const auto parent = obs::json_string(event, "parent");
+    ASSERT_TRUE(name && trace && span && parent) << event;
+    if (*name == "rpc.decide") {
+      ++decide_spans;
+      decide_span[*trace] = *span;
+    } else if (*name == "policy.choose") {
+      choose_parent[*trace] = *parent;
+    }
+  }
+  EXPECT_EQ(decide_spans, kFrames);
+  for (int i = 0; i < kFrames; ++i) {
+    std::ostringstream trace;
+    trace << std::hex << obs::derive_trace_id(static_cast<std::uint64_t>(kBase + i));
+    ASSERT_EQ(decide_span.count(trace.str()), 1u) << "call " << kBase + i;
+    ASSERT_EQ(choose_parent.count(trace.str()), 1u) << "call " << kBase + i;
+    EXPECT_EQ(choose_parent[trace.str()], decide_span[trace.str()]) << "call " << kBase + i;
+  }
+}
+
 // ------------------------------------------------------------- shedding
 
 TEST(Reactor, BurstSheddingPreserved) {
@@ -276,6 +344,37 @@ TEST(Reactor, BurstSheddingPreserved) {
   EXPECT_EQ(client.request_decision(req), 0);
   client.shutdown();
   server.stop();
+}
+
+TEST(Reactor, ShedBurstRepliesStayInRequestOrder) {
+  // A shed run answers Busy to its head and serves its tail, so every
+  // reply still lines up with the request at its position.
+  ModuloPolicy policy;
+  ServerConfig config = reactor_config();
+  config.max_inflight = 2;
+  ControllerServer server(policy, 0, config);
+  server.start();
+
+  constexpr int kFrames = 128;
+  constexpr int kBase = 1000;
+  TcpConnection conn = TcpConnection::connect_local(server.port());
+  conn.send_all(encode_decision_burst(kFrames, kBase));
+  int busy = 0;
+  for (int i = 0; i < kFrames; ++i) {
+    Frame reply;
+    ASSERT_TRUE(recv_frame(conn, reply));
+    if (reply.type == static_cast<std::uint8_t>(MsgType::Busy)) {
+      ++busy;
+      continue;
+    }
+    ASSERT_EQ(reply.type, static_cast<std::uint8_t>(MsgType::DecisionResponse)) << "reply " << i;
+    WireReader r(reply.payload);
+    EXPECT_EQ(DecisionResponse::decode(r).call_id, kBase + i);
+  }
+  conn.close();
+  server.stop();
+  EXPECT_EQ(server.busy_rejections(), busy);
+  EXPECT_EQ(server.decisions_served(), kFrames - busy);
 }
 
 TEST(Reactor, ClientDeadlinePreserved) {

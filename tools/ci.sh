@@ -10,8 +10,10 @@
 # plus a faulted bench_fig18_deployment run that must impair samples.
 # Set VIA_CI_TSAN=1 to additionally run the threaded tests (including the
 # reactor worker hammer in test_reactor, test_rpc, whose servers run
-# reactor workers, and test_obs, whose decision-ring hammer records from
-# several threads) under ThreadSanitizer,
+# reactor workers, test_observability, whose traced servers record spans
+# from reactor threads inside the batched decision path, and test_obs,
+# whose decision-ring hammer records from several threads) under
+# ThreadSanitizer,
 # and VIA_CI_ASAN=1 to run the chaos/fault/RPC/federation tests, the
 # reactor and connection-buffer tests, the hostile-bytes decoder harness,
 # and the concurrent-policy and memory-bound tests (warm decisions serve
@@ -84,16 +86,17 @@ echo "BENCH_scale.json:"
 cat "$BUILD_DIR-release/BENCH_scale.json"
 
 if [[ "${VIA_CI_TSAN:-0}" == "1" ]]; then
-  echo "== tsan: test_parallel + test_concurrent_policy + test_reactor + test_rpc + test_federation + test_obs under ThreadSanitizer =="
+  echo "== tsan: test_parallel + test_concurrent_policy + test_reactor + test_rpc + test_federation + test_obs + test_observability under ThreadSanitizer =="
   cmake -B "$BUILD_DIR-tsan" -S . -DVIA_TSAN=ON
   cmake --build "$BUILD_DIR-tsan" -j --target test_parallel test_concurrent_policy test_reactor \
-    test_rpc test_federation test_obs
+    test_rpc test_federation test_obs test_observability
   "$BUILD_DIR-tsan/tests/test_parallel"
   "$BUILD_DIR-tsan/tests/test_concurrent_policy"
   "$BUILD_DIR-tsan/tests/test_reactor"
   "$BUILD_DIR-tsan/tests/test_rpc"
   "$BUILD_DIR-tsan/tests/test_federation"
   "$BUILD_DIR-tsan/tests/test_obs"
+  "$BUILD_DIR-tsan/tests/test_observability"
 fi
 
 if [[ "${VIA_CI_ASAN:-0}" == "1" ]]; then
