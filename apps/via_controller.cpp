@@ -114,7 +114,7 @@
 #include "fed/segment_exchange.h"
 #include "obs/export.h"
 #include "rpc/admin_http.h"
-#include "rpc/client.h"
+#include "rpc/fed_fleet.h"
 #include "rpc/server.h"
 
 namespace {
@@ -344,23 +344,7 @@ int main(int argc, char** argv) {
             std::this_thread::sleep_for(std::chrono::milliseconds(50));
           }
           if (gossip_stop.load()) break;
-          GossipSegmentsMsg msg;
-          msg.replica_id = server_config.replica_id;
-          msg.ring_epoch = fed_config.ring_epoch;
-          msg.segments = fed::SegmentExchange::render(policy.model()->predictor().tomography(),
-                                                      fed_config.exchange_max_segments);
-          if (msg.segments.empty()) continue;
-          for (const std::uint16_t peer_port : peer_ports) {
-            try {
-              ClientConfig cc;
-              cc.request_timeout_ms = 1000;
-              ControllerClient peer(peer_port, cc);
-              (void)peer.gossip_segments(msg);
-              peer.shutdown();
-            } catch (const std::exception&) {
-              // A dead peer misses this round; the next one covers it.
-            }
-          }
+          (void)push_segments(policy, server_config.replica_id, fed_config, peer_ports);
         }
       });
     }

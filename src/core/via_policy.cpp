@@ -316,15 +316,14 @@ void ViaPolicy::on_pair_built(const CallContext& call, std::span<const Predictio
 
   // Active-measurement wishlist (§7): candidate options this pair cannot
   // predict are coverage holes worth probing.
-  if (config_.probe_wishlist_capacity == 0) return;
   const std::lock_guard lock(wishlist_mutex_);
-  if (probe_wishlist_.size() >= config_.probe_wishlist_capacity) return;
+  if (probe_wishlist_.size() >= kProbeWishlistCapacity) return;
   for (std::size_t i = 0; i < call.options.size(); ++i) {
     const OptionId opt = call.options[i];
     if (opt == RelayOptionTable::direct_id()) continue;
     if (preds[i].valid) continue;  // predictable => not a hole
     probe_wishlist_.push_back({call.src_as, call.dst_as, opt});
-    if (probe_wishlist_.size() >= config_.probe_wishlist_capacity) break;
+    if (probe_wishlist_.size() >= kProbeWishlistCapacity) break;
   }
 }
 

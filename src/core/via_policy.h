@@ -72,11 +72,6 @@ struct ViaConfig {
   /// bit-identical to a health-unaware policy.
   RelayHealthConfig health;
 
-  /// Active-measurement planning (paper §7): remember up to this many
-  /// coverage holes (candidate options with no prediction) per refresh
-  /// period, to be offered via plan_probes().  0 disables.
-  std::size_t probe_wishlist_capacity = 256;
-
   /// Serving-state lock stripes (power of two, clamped to [1, 64]).  Each
   /// stripe guards its slice of per-pair bandit state with its own mutex
   /// and owns its own epsilon RNG stream.  1 (the default) reproduces the
@@ -348,6 +343,10 @@ class ViaPolicy final : public RoutingPolicy, private PairBuildObserver {
   /// config_.health.enabled, fed by observe().
   RelayHealthTracker health_;
 
+  /// Active-measurement planning (paper §7): up to kProbeWishlistCapacity
+  /// coverage holes (candidate options with no prediction) per refresh
+  /// period, offered via plan_probes().
+  static constexpr std::size_t kProbeWishlistCapacity = 256;
   std::mutex wishlist_mutex_;
   std::vector<ProbeRequest> probe_wishlist_;  ///< guarded by wishlist_mutex_
 

@@ -27,7 +27,7 @@ StagedSpan::~StagedSpan() {
   const std::uint32_t tid = Tracer::current_tid();
   Span root;
   root.trace_id = trace_id_;
-  root.span_id = tracer_->next_span_id();
+  root.span_id = span_id_;
   root.parent_id = parent_id_;
   root.name = name_;
   root.start_ns = start_ns_;

@@ -104,53 +104,14 @@ class Tracer {
   std::atomic<std::uint64_t> next_span_id_{0};
 };
 
-/// RAII single span: allocates its span id up front (so callees can parent
-/// under it) and emits on destruction.  Inert when `tracer` is null or the
-/// trace is not sampled.
-class ScopedSpan {
- public:
-  ScopedSpan(Tracer* tracer, std::uint64_t trace_id, std::uint64_t parent_id,
-             const char* name) noexcept
-      : tracer_(tracer) {
-    if (tracer_ == nullptr) return;
-    if (!tracer_->sampled(trace_id)) {
-      tracer_ = nullptr;
-      return;
-    }
-    span_.trace_id = trace_id;
-    span_.span_id = tracer_->next_span_id();
-    span_.parent_id = parent_id;
-    span_.name = name;
-    span_.tid = Tracer::current_tid();
-    span_.start_ns = Tracer::now_ns();
-  }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  ~ScopedSpan() {
-    if (tracer_ == nullptr) return;
-    span_.dur_ns = Tracer::now_ns() - span_.start_ns;
-    tracer_->emit(span_);
-  }
-
-  [[nodiscard]] bool active() const noexcept { return tracer_ != nullptr; }
-  /// 0 when inactive, so it can be passed straight through as a parent id.
-  [[nodiscard]] std::uint64_t span_id() const noexcept {
-    return tracer_ != nullptr ? span_.span_id : 0;
-  }
-
- private:
-  Tracer* tracer_;
-  Span span_{};
-};
-
-/// RAII multi-stage scope for hot paths like ViaPolicy::choose: records up
-/// to kMaxStages sequential stage boundaries with one clock read each and
-/// emits a root span plus one child span per stage on destruction.  All
-/// bookkeeping lives on the stack; nothing is published until the scope
-/// ends, so the traced function's own work is undisturbed.  Inert (single
-/// branch per call) when `tracer` is null or the trace is not sampled.
+/// RAII span scope, e.g. the server's rpc.decide or ViaPolicy::choose:
+/// records up to kMaxStages sequential stage boundaries (none is fine)
+/// with one clock read each and emits a root span plus one child span per
+/// stage on destruction.  The root's span id is allocated up front, so
+/// callees can parent under it.  All bookkeeping lives on the stack;
+/// nothing is published until the scope ends, so the traced function's
+/// own work is undisturbed.  Inert (single branch per call) when `tracer`
+/// is null or the trace is not sampled.
 class StagedSpan {
  public:
   static constexpr std::size_t kMaxStages = 8;
@@ -164,6 +125,7 @@ class StagedSpan {
       return;
     }
     trace_id_ = trace_id;
+    span_id_ = tracer_->next_span_id();
     parent_id_ = parent_id;
     name_ = name;
     start_ns_ = last_ns_ = Tracer::now_ns();
@@ -189,6 +151,9 @@ class StagedSpan {
   }
 
   [[nodiscard]] bool active() const noexcept { return tracer_ != nullptr; }
+  /// The root span's id; 0 when inert, so it can be passed straight
+  /// through as a parent id.
+  [[nodiscard]] std::uint64_t span_id() const noexcept { return span_id_; }
 
   ~StagedSpan();
 
@@ -201,6 +166,7 @@ class StagedSpan {
 
   Tracer* tracer_;
   std::uint64_t trace_id_ = 0;
+  std::uint64_t span_id_ = 0;
   std::uint64_t parent_id_ = 0;
   const char* name_ = "";
   const char* tail_name_ = nullptr;

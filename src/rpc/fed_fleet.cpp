@@ -8,6 +8,31 @@
 
 namespace via {
 
+std::size_t push_segments(const ViaPolicy& policy, std::uint32_t replica_id,
+                          const fed::FederationConfig& fed,
+                          std::span<const std::uint16_t> peer_ports) {
+  GossipSegmentsMsg msg;
+  msg.replica_id = replica_id;
+  msg.ring_epoch = fed.ring_epoch;
+  msg.segments = fed::SegmentExchange::render(policy.model()->predictor().tomography(),
+                                              fed.exchange_max_segments);
+  if (msg.segments.empty()) return 0;
+  std::size_t pushes = 0;
+  for (const std::uint16_t port : peer_ports) {
+    try {
+      ClientConfig cc;
+      cc.request_timeout_ms = 1000;
+      ControllerClient peer(port, cc);
+      (void)peer.gossip_segments(msg);
+      peer.shutdown();
+      ++pushes;
+    } catch (const std::exception&) {
+      // A dead peer misses this round; the next round covers it.
+    }
+  }
+  return pushes;
+}
+
 FedFleet::FedFleet(const RelayOptionTable& options, BackboneFn backbone, FedFleetConfig config)
     : options_(&options), backbone_(std::move(backbone)), cfg_(std::move(config)) {
   cfg_.replicas = std::max<std::uint32_t>(1, cfg_.replicas);
@@ -81,28 +106,14 @@ void FedFleet::restart(std::uint32_t r) {
 
 std::size_t FedFleet::gossip_once() {
   std::size_t pushes = 0;
+  std::vector<std::uint16_t> peers;
   for (std::uint32_t from = 0; from < cfg_.replicas; ++from) {
     if (servers_[from] == nullptr) continue;
-    GossipSegmentsMsg msg;
-    msg.replica_id = from;
-    msg.ring_epoch = cfg_.fed.ring_epoch;
-    msg.segments = fed::SegmentExchange::render(
-        policies_[from]->model()->predictor().tomography(), cfg_.fed.exchange_max_segments);
-    if (msg.segments.empty()) continue;
+    peers.clear();
     for (std::uint32_t to = 0; to < cfg_.replicas; ++to) {
-      if (to == from || servers_[to] == nullptr) continue;
-      try {
-        ClientConfig cc;
-        cc.request_timeout_ms = 1000;
-        ControllerClient peer(cfg_.fed.replica_ports[to], cc);
-        (void)peer.gossip_segments(msg);
-        peer.shutdown();
-        ++pushes;
-      } catch (const std::exception&) {
-        // A peer that died between the liveness check and the push just
-        // misses this round; the next round covers it.
-      }
+      if (to != from && servers_[to] != nullptr) peers.push_back(cfg_.fed.replica_ports[to]);
     }
+    pushes += push_segments(*policies_[from], from, cfg_.fed, peers);
   }
   return pushes;
 }

@@ -8,11 +8,14 @@
 // gossip_once() runs one deterministic push round — every live replica
 // renders its solver's segments and pushes them to every live peer — so
 // tests control exchange timing explicitly instead of racing a timer.
+// push_segments() is that push for one replica; the via_controller daemon's
+// gossip thread calls it on its own cadence.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/via_policy.h"
@@ -21,6 +24,16 @@
 #include "rpc/server.h"
 
 namespace via {
+
+/// One gossip push (§6k): renders `policy`'s solver segments (at most
+/// `fed.exchange_max_segments`) as replica `replica_id`'s update at
+/// `fed.ring_epoch` and pushes it to every port in `peer_ports`, each
+/// through its own ControllerClient with a 1 s deadline.  Returns the
+/// number of successful pushes.  A peer that fails misses this round (the
+/// next one covers it); an empty render pushes nothing.
+std::size_t push_segments(const ViaPolicy& policy, std::uint32_t replica_id,
+                          const fed::FederationConfig& fed,
+                          std::span<const std::uint16_t> peer_ports);
 
 struct FedFleetConfig {
   std::uint32_t replicas = 3;

@@ -15,7 +15,15 @@
 #include <system_error>
 #include <utility>
 
+#include "obs/telemetry.h"
+
 namespace via {
+
+namespace {
+/// recv(2) size per readiness event (level-triggered epoll re-arms when
+/// more is buffered, so one bounded read keeps connections fair).
+constexpr std::size_t kReadChunk = 64 * 1024;
+}  // namespace
 
 void ReactorConn::reset_batch() noexcept {
   trim_frame_slots(batch_);
@@ -23,13 +31,20 @@ void ReactorConn::reset_batch() noexcept {
   batch_pos_ = 0;
 }
 
-Reactor::Reactor(TcpListener& listener, FrameHandler on_frames,
-                 ProtocolErrorHandler on_protocol_error, ReactorConfig config, ReactorHooks hooks)
+Reactor::Reactor(TcpListener& listener, obs::Telemetry& telemetry, FrameHandler on_frames,
+                 ProtocolErrorHandler on_protocol_error, ReactorConfig config)
     : listener_(&listener),
       on_frames_(std::move(on_frames)),
       on_protocol_error_(std::move(on_protocol_error)),
       config_(config),
-      hooks_(std::move(hooks)) {}
+      tel_accepted_(&telemetry.registry.counter("rpc.server.accepted_connections")),
+      tel_conn_errors_(&telemetry.registry.counter("rpc.server.connection_errors")),
+      tel_forced_closes_(&telemetry.registry.counter("rpc.server.drain_forced_closes")),
+      tel_pauses_(&telemetry.registry.counter("rpc.server.backpressure.paused_total")),
+      tel_paused_(&telemetry.registry.gauge("rpc.server.backpressure.paused_conns")),
+      tel_queued_(&telemetry.registry.gauge("rpc.server.backpressure.bytes_queued")),
+      tel_inflight_(&telemetry.registry.gauge("rpc.server.inflight")),
+      flight_(telemetry.flight_if_enabled()) {}
 
 Reactor::~Reactor() { stop(); }
 
@@ -37,6 +52,15 @@ std::size_t Reactor::queued_bytes() const noexcept {
   std::size_t total = 0;
   for (const auto& q : worker_queued_) total += q.load(std::memory_order_relaxed);
   return total;
+}
+
+std::uint64_t Reactor::pauses_total() const noexcept {
+  return static_cast<std::uint64_t>(tel_pauses_->value());
+}
+
+void Reactor::settle(std::size_t n) noexcept {
+  const auto k = static_cast<std::int64_t>(n);
+  tel_inflight_->set(static_cast<double>(inflight_.fetch_sub(k) - k));
 }
 
 std::vector<std::size_t> Reactor::worker_connection_counts() const {
@@ -100,19 +124,23 @@ bool Reactor::under_low_water(const ReactorConn& conn) const noexcept {
              config_.worker_write_cap / 2;
 }
 
-void Reactor::mark_paused(ReactorConn& conn) {
-  if (conn.paused_) return;
-  conn.paused_ = true;
-  paused_conns_.fetch_add(1, std::memory_order_relaxed);
-  pauses_total_.fetch_add(1, std::memory_order_relaxed);
-  if (hooks_.on_pause) hooks_.on_pause(conn.fd(), conn.out_.approx_bytes());
-}
-
-void Reactor::mark_resumed(ReactorConn& conn) {
-  if (!conn.paused_) return;
-  conn.paused_ = false;
-  paused_conns_.fetch_sub(1, std::memory_order_relaxed);
-  if (hooks_.on_resume) hooks_.on_resume(conn.fd(), conn.out_.approx_bytes());
+void Reactor::set_paused(ReactorConn& conn, bool paused) {
+  if (conn.paused_ == paused) return;
+  conn.paused_ = paused;
+  if (paused) {
+    paused_conns_.fetch_add(1, std::memory_order_relaxed);
+    tel_pauses_->inc();
+  } else {
+    paused_conns_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  tel_paused_->set(static_cast<double>(paused_connections()));
+  tel_queued_->set(static_cast<double>(queued_bytes()));
+  if (flight_ != nullptr) {
+    flight_->record(
+        paused ? obs::FlightEventKind::BackpressurePause : obs::FlightEventKind::BackpressureResume,
+        paused ? "write queue over cap" : "write queue drained", conn.fd(),
+        static_cast<std::int64_t>(conn.out_.approx_bytes()));
+  }
 }
 
 void Reactor::decode_frames(ReactorConn& conn) {
@@ -132,8 +160,11 @@ void Reactor::decode_frames(ReactorConn& conn) {
     conn.has_pending_error_ = true;
     conn.closing_ = true;
   }
-  const std::size_t added = conn.batch_len_ - before;
-  if (added > 0 && hooks_.on_decoded) hooks_.on_decoded(added);
+  // Decoded-but-unanswered frames count as inflight (§6h): charging them
+  // here, before any dispatch, is what lets the shed check see a burst
+  // that arrived within a single readiness event.
+  const auto added = static_cast<std::int64_t>(conn.batch_len_ - before);
+  if (added > 0) tel_inflight_->set(static_cast<double>(inflight_.fetch_add(added) + added));
 }
 
 bool Reactor::serve_batch(ReactorConn& conn) {
@@ -147,7 +178,7 @@ bool Reactor::serve_batch(ReactorConn& conn) {
       if (on_protocol_error_) on_protocol_error_(conn, e);
       conn.closing_ = true;
       // The handler's accounting disposed of the whole remainder (it will
-      // never be served); nothing left for on_dropped.
+      // never be served); nothing left for close_conn to settle.
       conn.batch_pos_ = conn.batch_len_;
       break;
     } catch (const std::exception&) {
@@ -188,18 +219,22 @@ void Reactor::close_conn(Worker& worker, ReactorConn& conn) {
     worker.conns.erase(it);
   }
   conn.fd_.reset();
+  // Frames decoded but never dispatched (closed while paused) settle
+  // their inflight charge.
   const std::size_t dropped = conn.batch_len_ - conn.batch_pos_;
-  if (dropped > 0 && hooks_.on_dropped) hooks_.on_dropped(dropped);
+  if (dropped > 0) settle(dropped);
   conn.reset_batch();
-  if (conn.paused_) {
-    // Closed while paused: clear the gauge without firing on_resume — the
-    // connection never resumed.
-    conn.paused_ = false;
-    paused_conns_.fetch_sub(1, std::memory_order_relaxed);
-  }
   if (conn.accounted_out_ > 0) {
     worker_queued_[conn.worker_idx_].fetch_sub(conn.accounted_out_, std::memory_order_relaxed);
     conn.accounted_out_ = 0;
+  }
+  if (conn.paused_) {
+    // Closed while paused: no resume edge (the connection never resumed),
+    // but the gauges must stop counting it and its queue.
+    conn.paused_ = false;
+    paused_conns_.fetch_sub(1, std::memory_order_relaxed);
+    tel_paused_->set(static_cast<double>(paused_connections()));
+    tel_queued_->set(static_cast<double>(queued_bytes()));
   }
   worker_loads_[conn.worker_idx_].fetch_sub(1, std::memory_order_relaxed);
   conn_count_.fetch_sub(1, std::memory_order_relaxed);
@@ -330,7 +365,7 @@ void Reactor::accept_ready(Worker& worker) {
     }
     const int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (hooks_.on_accept) hooks_.on_accept();
+    tel_accepted_->inc();
     // Least-connections pinning: fd churn under a connect storm skews a
     // modulo pick badly; the emptiest worker is the right home.  The pick
     // charges the target's load counter, pin-for-life as before.
@@ -365,7 +400,7 @@ void Reactor::adopt_pending(Worker& worker) {
 }
 
 void Reactor::conn_failure(Worker& worker, ReactorConn& conn) {
-  if (hooks_.on_conn_error) hooks_.on_conn_error();
+  tel_conn_errors_->inc();
   close_conn(worker, conn);
 }
 
@@ -404,7 +439,7 @@ void Reactor::finish_io(Worker& worker, ReactorConn& conn) {
     // A kept batch remainder implies the per-connection cap was hit; a
     // drained connection can still pause on the worker-aggregate cap, and
     // with no EPOLLOUT to wake it, the sweep list resumes it later.
-    mark_paused(conn);
+    set_paused(conn, true);
     if (drained) list_for_sweep(worker, conn);
   }
   update_interest(worker, conn, !drained);
@@ -433,7 +468,7 @@ void Reactor::maybe_resume(Worker& worker, ReactorConn& conn) {
     if (conn.out_.empty()) list_for_sweep(worker, conn);
     return;
   }
-  mark_resumed(conn);
+  set_paused(conn, false);
   if (conn.has_unserved()) {
     // Serve the batch remainder kept at pause time; this may re-pause.
     dispatch(worker, conn);
@@ -442,15 +477,20 @@ void Reactor::maybe_resume(Worker& worker, ReactorConn& conn) {
   }
 }
 
+bool Reactor::sweep_ready(const Worker& worker) const noexcept {
+  return !worker.agg_paused_fds.empty() &&
+         (config_.worker_write_cap == 0 ||
+          worker_queued_[worker.index].load(std::memory_order_relaxed) <=
+              config_.worker_write_cap / 2);
+}
+
 void Reactor::sweep_paused(Worker& worker) {
-  if (worker.agg_paused_fds.empty()) return;
-  if (config_.worker_write_cap > 0 &&
-      worker_queued_[worker.index].load(std::memory_order_relaxed) >
-          config_.worker_write_cap / 2) {
-    return;
-  }
-  // Swap the list out: maybe_resume can re-list a still-stuck connection
-  // (via list_for_sweep) while we iterate.
+  if (!sweep_ready(worker)) return;
+  // Swap the list out: maybe_resume re-lists a connection that is still
+  // stuck, or that re-pauses fully drained, while we iterate.  One that
+  // re-pauses with bytes pending has EPOLLOUT armed and is not re-listed:
+  // the list holds only drained connections, so a ready sweep always
+  // resumes something and worker_loop's polling never spins idle.
   std::vector<int> current;
   current.swap(worker.agg_paused_fds);
   for (const int fd : current) {
@@ -458,15 +498,13 @@ void Reactor::sweep_paused(Worker& worker) {
     if (it == worker.conns.end()) continue;  // closed; fd may have been reused
     ReactorConn& conn = *it->second;
     conn.agg_listed_ = false;
-    if (!conn.paused_) continue;
-    maybe_resume(worker, conn);
-    if (!conn.dead_ && conn.paused_) list_for_sweep(worker, conn);
+    if (conn.paused_) maybe_resume(worker, conn);
   }
 }
 
 void Reactor::read_and_decode(Worker& worker, ReactorConn& conn) {
   if (conn.closing_ || conn.paused_) return;
-  const std::span<std::byte> dst = conn.in_.writable(config_.read_chunk);
+  const std::span<std::byte> dst = conn.in_.writable(kReadChunk);
   const ssize_t r = ::recv(conn.fd(), dst.data(), dst.size(), 0);
   if (r > 0) {
     conn.in_.commit(static_cast<std::size_t>(r));
@@ -496,15 +534,18 @@ void Reactor::worker_loop(Worker& worker) {
   std::array<epoll_event, 64> events{};
   std::vector<ReactorConn*> ready;
   for (;;) {
-    const int n =
-        ::epoll_wait(worker.epoll.get(), events.data(), static_cast<int>(events.size()), -1);
+    // A connection the last sweep resumed, served up to its cap and parked
+    // again fully drained has no event coming: poll instead of blocking, so
+    // the next round's sweep serves more of its kept remainder.
+    const int n = ::epoll_wait(worker.epoll.get(), events.data(),
+                               static_cast<int>(events.size()), sweep_ready(worker) ? 0 : -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       return;
     }
     bool woken = false;
     ready.clear();
-    // Phase 1: drain sockets and decode frames (on_decoded fires per
+    // Phase 1: drain sockets and decode frames (charged as inflight per
     // connection, before anything is served — the burst-shedding window).
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
@@ -559,7 +600,11 @@ void Reactor::worker_loop(Worker& worker) {
         for (auto& [cfd, conn] : worker.conns) all.push_back(conn.get());
         for (ReactorConn* conn : all) {
           if (conn->dead_) continue;
-          if (hooks_.on_forced_close) hooks_.on_forced_close(conn->fd());
+          tel_forced_closes_->inc();
+          if (flight_ != nullptr) {
+            flight_->record(obs::FlightEventKind::DrainForcedClose,
+                            "drain timeout: connection forced shut", conn->fd());
+          }
           close_conn(worker, *conn);
         }
       }

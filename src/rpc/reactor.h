@@ -10,12 +10,14 @@
 //
 // Each wakeup runs two phases over the ready set:
 //   1. drain: recv into every readable connection's ReadBuffer and decode
-//      complete frames (on_decoded fires per connection batch, letting the
-//      host count queued work *before* any of it is served — what makes
-//      burst shedding possible in an event loop), then
+//      complete frames, charging each to the inflight count *before* any
+//      of them is served — what makes burst shedding possible in an event
+//      loop — then
 //   2. dispatch: hand each connection's decoded batch to the frame handler
 //      (replies queue on the connection's WriteBuffer) and flush; EPOLLOUT
 //      is armed only while a flush leaves bytes behind.
+// The handler settles the inflight charge (settle()) as it disposes of
+// frames; frames a closing connection never served are settled here.
 //
 // Backpressure: when a connection's queued reply bytes reach
 // `write_buffer_cap` (or the worker's aggregate reaches
@@ -28,7 +30,12 @@
 //
 // stop() drains gracefully: deregister the listener, keep serving until
 // every connection closes or drain_timeout_ms passes, then force-close the
-// stragglers (on_forced_close fires per fd) and join the workers.
+// stragglers and join the workers.
+//
+// The reactor records its own events in the host's telemetry, under the
+// rpc.server.* names: accepts, connection errors, forced drain closes,
+// backpressure pauses (counter, gauges and flight events) and the
+// rpc.server.inflight gauge.
 #pragma once
 
 #include <atomic>
@@ -48,6 +55,13 @@
 #include "rpc/socket.h"
 
 namespace via {
+
+namespace obs {
+class Counter;
+class Gauge;
+class FlightRecorder;
+struct Telemetry;
+}  // namespace obs
 
 class Reactor;
 enum class MsgType : std::uint8_t;  // rpc/messages.h
@@ -132,9 +146,6 @@ struct ReactorConfig {
   int workers = 2;
   /// stop(): grace period before stragglers are force-closed.
   int drain_timeout_ms = 5000;
-  /// recv(2) size per readiness event (level-triggered epoll re-arms when
-  /// more is buffered, so one bounded read keeps connections fair).
-  std::size_t read_chunk = 64 * 1024;
   /// Per-connection queued-reply byte cap; 0 disables backpressure.  A
   /// connection at or over the cap stops being read (and served) until
   /// its socket drains below cap/2.
@@ -144,29 +155,9 @@ struct ReactorConfig {
   std::size_t worker_write_cap = 0;
 };
 
-/// Host callbacks, all optional and all invoked from worker threads.
-struct ReactorHooks {
-  std::function<void()> on_accept;
-  /// Complete frames decoded from one connection in phase 1 (before any of
-  /// them is dispatched); hosts use it to account queued work for shedding.
-  std::function<void(std::size_t)> on_decoded;
-  /// Decoded-but-never-dispatched frames discarded because the connection
-  /// closed; hosts settle the on_decoded accounting with it.
-  std::function<void(std::size_t)> on_dropped;
-  /// A straggler force-closed by the drain deadline.
-  std::function<void(int fd)> on_forced_close;
-  /// Hard connection failure: I/O error, mid-frame EOF, or a handler
-  /// exception that is not a ProtocolError.
-  std::function<void()> on_conn_error;
-  /// Backpressure transitions: the connection was paused (stopped being
-  /// read) / resumed.  `queued` is its write-queue depth at the edge.
-  std::function<void(int fd, std::size_t queued)> on_pause;
-  std::function<void(int fd, std::size_t queued)> on_resume;
-};
-
 /// The epoll reactor (DESIGN.md §6h): listener, worker pool, dispatch
-/// with partial consumption, least-connections pinning, and the
-/// backpressure/stat accounting.
+/// with partial consumption, least-connections pinning, inflight
+/// accounting, and the backpressure/stat instruments.
 class Reactor {
  public:
   /// Invoked with the not-yet-consumed suffix of a connection's decoded
@@ -182,10 +173,11 @@ class Reactor {
   /// closes the connection after flushing it.
   using ProtocolErrorHandler = std::function<void(ReactorConn&, const ProtocolError&)>;
 
-  /// The listener must outlive the reactor; start() switches it (and every
-  /// accepted connection) to non-blocking mode.
-  Reactor(TcpListener& listener, FrameHandler on_frames, ProtocolErrorHandler on_protocol_error,
-          ReactorConfig config = {}, ReactorHooks hooks = {});
+  /// The listener and the telemetry must outlive the reactor; start()
+  /// switches the listener (and every accepted connection) to non-blocking
+  /// mode.
+  Reactor(TcpListener& listener, obs::Telemetry& telemetry, FrameHandler on_frames,
+          ProtocolErrorHandler on_protocol_error, ReactorConfig config = {});
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -208,16 +200,22 @@ class Reactor {
   [[nodiscard]] std::size_t paused_connections() const noexcept {
     return paused_conns_.load(std::memory_order_relaxed);
   }
-  /// Cumulative pause transitions since start().
-  [[nodiscard]] std::uint64_t pauses_total() const noexcept {
-    return pauses_total_.load(std::memory_order_relaxed);
-  }
+  /// Cumulative pause transitions (rpc.server.backpressure.paused_total).
+  [[nodiscard]] std::uint64_t pauses_total() const noexcept;
   /// High-water mark of any single connection's write queue (bytes).
   [[nodiscard]] std::size_t peak_conn_queued_bytes() const noexcept {
     return peak_conn_queued_.load(std::memory_order_relaxed);
   }
   /// Live connections per worker (least-connections pinning visibility).
   [[nodiscard]] std::vector<std::size_t> worker_connection_counts() const;
+
+  /// Decoded frames not yet disposed of by the frame handler (§6h): charged
+  /// when phase 1 decodes them, before any is served, so a shed check sees
+  /// a whole burst.
+  [[nodiscard]] std::int64_t inflight() const noexcept { return inflight_.load(); }
+  /// The frame handler disposed of `n` charged frames (served, shed, or
+  /// given up on a close).
+  void settle(std::size_t n) noexcept;
 
  private:
   struct Worker {
@@ -246,8 +244,8 @@ class Reactor {
   std::size_t pick_worker();
   void read_and_decode(Worker& worker, ReactorConn& conn);
   /// Decodes every complete frame buffered in conn.in_ into conn.batch_
-  /// and fires on_decoded.  A ProtocolError flags the connection closing
-  /// with the error pending.
+  /// and charges them as inflight.  A ProtocolError flags the connection
+  /// closing with the error pending.
   void decode_frames(ReactorConn& conn);
   /// Drives on_frames_ over the connection's batch remainder, honoring
   /// partial consumption (a handler that stops early at the write cap
@@ -268,22 +266,26 @@ class Reactor {
   /// True when both the connection and its worker are back under the
   /// low-water mark (half the respective caps).
   [[nodiscard]] bool under_low_water(const ReactorConn& conn) const noexcept;
-  void mark_paused(ReactorConn& conn);
-  void mark_resumed(ReactorConn& conn);
+  /// A pause/resume edge: updates the paused count, the backpressure
+  /// instruments and the flight recorder.  No-op when already in `paused`.
+  void set_paused(ReactorConn& conn, bool paused);
   /// Resumes one paused connection when it is back under low water,
   /// redispatching its kept batch remainder (which may re-pause it).
   void maybe_resume(Worker& worker, ReactorConn& conn);
   /// Resumes paused connections on `worker` that are back under low water
   /// (aggregate-cap recovery); redispatches their kept batch remainders.
   void sweep_paused(Worker& worker);
+  /// True when the sweep list is non-empty and the worker aggregate is
+  /// under its low-water mark, i.e. sweep_paused() would resume something.
+  [[nodiscard]] bool sweep_ready(const Worker& worker) const noexcept;
   /// Parks a paused, fully drained connection on the aggregate sweep list
   /// (deduplicated): with no bytes in flight there is no EPOLLOUT coming,
   /// so only the sweep can resume it once the aggregate drains.
   void list_for_sweep(Worker& worker, ReactorConn& conn);
   /// Deregisters and parks the connection, then settles its bookkeeping:
-  /// drops unserved frames (on_dropped), clears its pause, uncharges the
-  /// aggregate, decrements the worker load and the global count, and
-  /// signals stop().
+  /// settles its unserved frames' inflight charge, clears its pause,
+  /// uncharges the aggregate, decrements the worker load and the global
+  /// count, and signals stop().
   void close_conn(Worker& worker, ReactorConn& conn);
   void update_interest(Worker& worker, ReactorConn& conn, bool want_write);
   void conn_failure(Worker& worker, ReactorConn& conn);
@@ -293,7 +295,17 @@ class Reactor {
   FrameHandler on_frames_;
   ProtocolErrorHandler on_protocol_error_;
   ReactorConfig config_;
-  ReactorHooks hooks_;
+
+  /// Instruments in the host's registry (rpc.server.*); flight_ is null
+  /// when the host's flight recorder is disabled.
+  obs::Counter* tel_accepted_;
+  obs::Counter* tel_conn_errors_;
+  obs::Counter* tel_forced_closes_;
+  obs::Counter* tel_pauses_;
+  obs::Gauge* tel_paused_;
+  obs::Gauge* tel_queued_;
+  obs::Gauge* tel_inflight_;
+  obs::FlightRecorder* flight_;
 
   std::atomic<std::size_t> conn_count_{0};
   std::atomic<bool> draining_{false};
@@ -308,8 +320,8 @@ class Reactor {
   std::vector<std::atomic<std::size_t>> worker_loads_;
   std::vector<std::atomic<std::size_t>> worker_queued_;
   std::atomic<std::size_t> paused_conns_{0};
-  std::atomic<std::uint64_t> pauses_total_{0};
   std::atomic<std::size_t> peak_conn_queued_{0};
+  std::atomic<std::int64_t> inflight_{0};
 
   std::vector<std::unique_ptr<Worker>> workers_;
 };

@@ -97,8 +97,6 @@ ControllerServer::ControllerServer(RoutingPolicy& policy, std::uint16_t port, Se
       // events, so choose() only tallies the reason counters and observe()
       // skips the ring fill.  The simulation engine keeps its ring.
       telemetry_(0, obs::TraceConfig{.sample_rate = config.trace_sample}),
-      tel_accepted_(&telemetry_.registry.counter("rpc.server.accepted_connections")),
-      tel_conn_errors_(&telemetry_.registry.counter("rpc.server.connection_errors")),
       tel_bytes_in_(&telemetry_.registry.counter("rpc.server.bytes_in")),
       tel_bytes_out_(&telemetry_.registry.counter("rpc.server.bytes_out")),
       tel_decisions_(&telemetry_.registry.counter("rpc.server.decisions")),
@@ -107,15 +105,10 @@ ControllerServer::ControllerServer(RoutingPolicy& policy, std::uint16_t port, Se
       tel_protocol_errors_(&telemetry_.registry.counter("rpc.server.protocol_errors")),
       tel_dup_reports_(&telemetry_.registry.counter("rpc.server.duplicate_reports")),
       tel_dup_refreshes_(&telemetry_.registry.counter("rpc.server.duplicate_refreshes")),
-      tel_forced_closes_(&telemetry_.registry.counter("rpc.server.drain_forced_closes")),
-      tel_bp_paused_(&telemetry_.registry.gauge("rpc.server.backpressure.paused_conns")),
-      tel_bp_pauses_(&telemetry_.registry.counter("rpc.server.backpressure.paused_total")),
-      tel_bp_queued_(&telemetry_.registry.gauge("rpc.server.backpressure.bytes_queued")),
       tel_pings_(&telemetry_.registry.counter("rpc.server.pings")),
       tel_gossip_updates_(&telemetry_.registry.counter("rpc.server.gossip_updates")),
       tel_request_us_(
           &telemetry_.registry.histogram("rpc.server.request_us", obs::kLatencyBoundsUs)),
-      tel_inflight_(&telemetry_.registry.gauge("rpc.server.inflight")),
       tel_refresh_stall_us_(
           &telemetry_.registry.histogram("rpc.server.refresh_stall_us", obs::kLatencyBoundsUs)),
       tracer_(telemetry_.tracer_if_enabled()),
@@ -123,12 +116,12 @@ ControllerServer::ControllerServer(RoutingPolicy& policy, std::uint16_t port, Se
       policy_concurrent_(policy.concurrent_safe()),
       listener_(port),
       reactor_(
-          listener_,
+          listener_, telemetry_,
           [this](ReactorConn& conn, std::span<Frame> frames) {
             return handle_reactor_frames(conn, frames);
           },
           [this](ReactorConn& conn, const ProtocolError& e) { send_protocol_error(conn, 0, e); },
-          reactor_config(config), reactor_hooks()),
+          reactor_config(config)),
       timeseries_recorder_(&telemetry_.registry,
                            static_cast<double>(config.timeseries_window_ms) / 1000.0) {
   if (config_.reactor_threads < 1) {
@@ -153,48 +146,6 @@ void ControllerServer::start() {
     timeseries_thread_ = std::thread([this] { timeseries_loop(); });
   }
   reactor_.start();
-}
-
-ReactorHooks ControllerServer::reactor_hooks() {
-  ReactorHooks hooks;
-  hooks.on_accept = [this] { tel_accepted_->inc(); };
-  // Decoded-but-unanswered frames count as inflight (§6h): charging them
-  // here, before any dispatch, is what lets the shed check see a burst
-  // that arrived within a single readiness event.
-  hooks.on_decoded = [this](std::size_t n) {
-    const std::int64_t now =
-        inflight_.fetch_add(static_cast<std::int64_t>(n)) + static_cast<std::int64_t>(n);
-    tel_inflight_->set(static_cast<double>(now));
-  };
-  // Frames the reactor dropped without dispatching (connection closed
-  // while paused) settle the same accounting.
-  hooks.on_dropped = [this](std::size_t n) { note_requests_done(n); };
-  hooks.on_forced_close = [this](int fd) {
-    tel_forced_closes_->inc();
-    if (flight_ != nullptr) {
-      flight_->record(obs::FlightEventKind::DrainForcedClose,
-                      "drain timeout: connection forced shut", fd);
-    }
-  };
-  hooks.on_conn_error = [this] { tel_conn_errors_->inc(); };
-  hooks.on_pause = [this](int fd, std::size_t queued) {
-    tel_bp_pauses_->inc();
-    tel_bp_paused_->set(static_cast<double>(reactor_.paused_connections()));
-    tel_bp_queued_->set(static_cast<double>(reactor_.queued_bytes()));
-    if (flight_ != nullptr) {
-      flight_->record(obs::FlightEventKind::BackpressurePause, "write queue over cap", fd,
-                      static_cast<std::int64_t>(queued));
-    }
-  };
-  hooks.on_resume = [this](int fd, std::size_t queued) {
-    tel_bp_paused_->set(static_cast<double>(reactor_.paused_connections()));
-    tel_bp_queued_->set(static_cast<double>(reactor_.queued_bytes()));
-    if (flight_ != nullptr) {
-      flight_->record(obs::FlightEventKind::BackpressureResume, "write queue drained", fd,
-                      static_cast<std::int64_t>(queued));
-    }
-  };
-  return hooks;
 }
 
 std::size_t ControllerServer::backpressure_paused_conns() const noexcept {
@@ -281,7 +232,7 @@ bool ControllerServer::note_report_seen(const Observation& obs) {
   const std::lock_guard lock(dedup_mutex_);
   if (!dedup_set_.insert(key).second) return false;
   dedup_fifo_.push_back(key);
-  if (dedup_fifo_.size() > config_.report_dedup_window) {
+  if (dedup_fifo_.size() > kReportDedupWindow) {
     dedup_set_.erase(dedup_fifo_.front());
     dedup_fifo_.pop_front();
   }
@@ -299,7 +250,7 @@ bool ControllerServer::dispatch_frame(const Frame& frame, ReactorConn& conn) {
       const ReportMsg msg = ReportMsg::decode(reader);
       // Idempotency (§6f): a client that timed out and resent gets its
       // ack, but the observation feeds the policy only once.
-      if (config_.report_dedup_window > 0 && !note_report_seen(msg.obs)) {
+      if (!note_report_seen(msg.obs)) {
         tel_dup_reports_->inc();
         reply(MsgType::ReportAck);
         break;
@@ -409,26 +360,20 @@ void ControllerServer::send_protocol_error(ReactorConn& conn, std::uint8_t frame
   tel_bytes_out_->inc(bytes(conn.send(MsgType::Error, ErrorMsg{frame_type, e.what()})));
 }
 
-void ControllerServer::note_requests_done(std::size_t n) {
-  const std::int64_t now =
-      inflight_.fetch_sub(static_cast<std::int64_t>(n)) - static_cast<std::int64_t>(n);
-  tel_inflight_->set(static_cast<double>(now));
-}
-
 std::size_t ControllerServer::handle_reactor_frames(ReactorConn& conn, std::span<Frame> frames) {
-  // Inflight was charged when these frames were decoded (the on_decoded
-  // hook).  The return value tells the reactor how many frames this call
-  // disposed of; frames it kept (write-capped partial return) stay charged
-  // and come back in a later call.  Every disposing exit path — including
+  // The reactor charged these frames as inflight when it decoded them.
+  // The return value tells it how many frames this call disposed of;
+  // frames it kept (write-capped partial return) stay charged and come
+  // back in a later call.  Every disposing exit path — including
   // exceptions and an early Shutdown close — settles the unserved
   // remainder through this guard.
   struct PendingGuard {
-    ControllerServer* server;
+    Reactor& reactor;
     std::size_t remaining;
     ~PendingGuard() {
-      if (remaining > 0) server->note_requests_done(remaining);
+      if (remaining > 0) reactor.settle(remaining);
     }
-  } pending{this, frames.size()};
+  } pending{reactor_, frames.size()};
 
   constexpr auto kDecision = static_cast<std::uint8_t>(MsgType::DecisionRequest);
   std::size_t i = 0;
@@ -461,7 +406,7 @@ std::size_t ControllerServer::handle_reactor_frames(ReactorConn& conn, std::span
         const obs::ScopedTimer request_timer(*tel_request_us_);
         const auto msg_type = static_cast<MsgType>(frame.type);
         const bool sheddable = msg_type == MsgType::Report || msg_type == MsgType::Refresh;
-        const std::int64_t inflight_now = inflight_.load();
+        const std::int64_t inflight_now = reactor_.inflight();
         if (config_.max_inflight > 0 && sheddable && inflight_now > config_.max_inflight) {
           send_busy(conn, frame.type, inflight_now);
         } else {
@@ -472,7 +417,7 @@ std::size_t ControllerServer::handle_reactor_frames(ReactorConn& conn, std::span
       send_protocol_error(conn, frames[i].type, e);
       keep_open = false;
     }
-    note_requests_done(run);
+    reactor_.settle(run);
     pending.remaining -= run;
     i += run;
     if (!keep_open) {
@@ -492,7 +437,7 @@ void ControllerServer::process_decision_batch(std::span<Frame> frames, ReactorCo
   // disposes of settles one charge, so "shed while inflight > cap" sheds
   // the run's head and serves its tail.
   if (config_.max_inflight > 0) {
-    const std::int64_t inflight_now = inflight_.load();
+    const std::int64_t inflight_now = reactor_.inflight();
     const auto shed = static_cast<std::size_t>(std::clamp<std::int64_t>(
         inflight_now - config_.max_inflight, 0, static_cast<std::int64_t>(frames.size())));
     for (std::size_t k = 0; k < shed; ++k) {
@@ -535,7 +480,7 @@ void ControllerServer::process_decision_batch(std::span<Frame> frames, ReactorCo
         ctx.trace_id = reqs[i].trace_id != 0
                            ? reqs[i].trace_id
                            : obs::derive_trace_id(static_cast<std::uint64_t>(reqs[i].call_id));
-        const obs::ScopedSpan span(tracer_, ctx.trace_id, 0, "rpc.decide");
+        const obs::StagedSpan span(tracer_, ctx.trace_id, 0, "rpc.decide");
         ctx.parent_span = span.span_id();
         scratch.picks[i] = policy_->choose(ctx);
       }

@@ -21,6 +21,11 @@
 // The exclusive-section duration is exported as the
 // rpc.server.refresh_stall_us histogram, so the serving stall a refresh
 // actually causes is visible in GetStats.
+//
+// The server owns the protocol and its instruments; the reactor owns the
+// connection-level accounts (accepts, connection errors, forced closes,
+// backpressure, and the inflight count the shed checks read) and records
+// them in the server's telemetry itself.
 #pragma once
 
 #include <atomic>
@@ -60,8 +65,8 @@ enum class ServingBackend : std::uint8_t {
   return "epoll";
 }
 
-/// Robustness knobs (DESIGN.md §6f).  Shedding is off by default; dedup is
-/// on, which is invisible to well-behaved clients.
+/// Robustness knobs (DESIGN.md §6f).  Shedding is off by default.  Report
+/// dedup is always on (a fixed window, invisible to well-behaved clients).
 struct ServerConfig {
   /// Overload shedding: when more than this many requests are being served
   /// at once, new DecisionRequest/Report/Refresh frames get an immediate
@@ -72,10 +77,6 @@ struct ServerConfig {
   /// stop() lets in-flight connections finish for this long, then forces
   /// the stragglers closed.
   int drain_timeout_ms = 5000;
-  /// Report idempotency window: the ids of the most recent N distinct
-  /// observations; a retried Report whose observation is still in the
-  /// window is acked without a second policy_->observe().  0 disables.
-  std::size_t report_dedup_window = 8192;
 
   /// Request tracing (§6g): record 1 in `trace_sample` decision traces
   /// (0 disables tracing entirely; 1 records everything).  Sampled traces
@@ -210,10 +211,6 @@ class ControllerServer {
   /// the connection after flushing.  `frame_type` is 0 for a decode-time
   /// violation (oversized frame), which has no request type to echo.
   void send_protocol_error(ReactorConn& conn, std::uint8_t frame_type, const ProtocolError& e);
-  /// Settles inflight accounting for `n` requests decoded by the reactor.
-  void note_requests_done(std::size_t n);
-  /// The reactor callbacks: telemetry, inflight accounting, flight notes.
-  [[nodiscard]] ReactorHooks reactor_hooks();
   /// Records an observation's idempotency key; returns false when the key
   /// is already in the dedup window (a retried Report).
   [[nodiscard]] bool note_report_seen(const Observation& obs);
@@ -230,8 +227,6 @@ class ControllerServer {
   RoutingPolicy* policy_;
   ServerConfig config_;
   obs::Telemetry telemetry_;
-  obs::Counter* tel_accepted_;
-  obs::Counter* tel_conn_errors_;
   obs::Counter* tel_bytes_in_;
   obs::Counter* tel_bytes_out_;
   obs::Counter* tel_decisions_;
@@ -240,18 +235,11 @@ class ControllerServer {
   obs::Counter* tel_protocol_errors_;
   obs::Counter* tel_dup_reports_;
   obs::Counter* tel_dup_refreshes_;
-  obs::Counter* tel_forced_closes_;
-  /// §6j backpressure instruments: gauges track the reactor's live state
-  /// (refreshed at every pause/resume edge), the counter is cumulative.
-  obs::Gauge* tel_bp_paused_;
-  obs::Counter* tel_bp_pauses_;
-  obs::Gauge* tel_bp_queued_;
   /// Federation plane (§6k): liveness probes answered and gossip updates
   /// received.
   obs::Counter* tel_pings_;
   obs::Counter* tel_gossip_updates_;
   obs::LatencyHistogram* tel_request_us_;
-  obs::Gauge* tel_inflight_;
   /// Duration the policy lock is held *exclusively* per refresh — the span
   /// during which no decision can be served.  For a policy with a split
   /// refresh this is pointer-swap scale (µs); one whose commit does the
@@ -271,12 +259,17 @@ class ControllerServer {
   const bool policy_concurrent_;
 
   TcpListener listener_;
-  /// Serves listener_ between start() and stop(); its stats stay readable
-  /// after stop().
+  /// Serves listener_ between start() and stop(); owns the inflight count
+  /// and the connection instruments.  Its stats stay readable after
+  /// stop().
   Reactor reactor_;
 
-  /// Report idempotency window (§6f): set for O(1) lookup, FIFO for
-  /// eviction.  Guarded by dedup_mutex_.
+  /// Report idempotency window (§6f): the ids of the most recent
+  /// kReportDedupWindow distinct observations; a retried Report whose
+  /// observation is still in the window is acked without a second
+  /// observe().  A set for O(1) lookup, a FIFO for eviction; guarded by
+  /// dedup_mutex_.
+  static constexpr std::size_t kReportDedupWindow = 8192;
   std::mutex dedup_mutex_;
   std::unordered_set<std::uint64_t> dedup_set_;
   std::deque<std::uint64_t> dedup_fifo_;
@@ -294,7 +287,6 @@ class ControllerServer {
   bool timeseries_stop_ = false;
 
   std::atomic<bool> running_{false};
-  std::atomic<std::int64_t> inflight_{0};
 };
 
 }  // namespace via

@@ -232,8 +232,8 @@ TEST(Tracing, SampleRateZeroDisablesAndNullsTheTracer) {
   EXPECT_FALSE(telemetry.tracer.enabled());
   EXPECT_EQ(telemetry.tracer_if_enabled(), nullptr);
 
-  // An inert ScopedSpan records nothing and parents as 0.
-  obs::ScopedSpan span(nullptr, 1, 0, "noop");
+  // An inert StagedSpan records nothing and parents as 0.
+  obs::StagedSpan span(nullptr, 1, 0, "noop");
   EXPECT_FALSE(span.active());
   EXPECT_EQ(span.span_id(), 0u);
   EXPECT_EQ(telemetry.tracer.buffer().recorded(), 0);
@@ -316,7 +316,7 @@ TEST(Tracing, StagedSpanEmitsRootPlusOneChildPerStage) {
 TEST(Tracing, ChromeTraceExportIsSchemaValidJson) {
   obs::Tracer tracer(obs::TraceConfig{.sample_rate = 1});
   for (int i = 0; i < 10; ++i) {
-    obs::ScopedSpan span(&tracer, static_cast<std::uint64_t>(i + 1), 0, "rpc.decide");
+    obs::StagedSpan span(&tracer, static_cast<std::uint64_t>(i + 1), 0, "rpc.decide");
     std::this_thread::yield();
   }
   const std::string doc = obs::chrome_trace_json(tracer.buffer());
@@ -794,7 +794,7 @@ TEST(AdminHttp, ServesMetricsHealthzVarzAndTrace) {
   telemetry.registry.histogram("rpc.server.request_us", obs::kLatencyBoundsUs).observe(12.0);
   telemetry.flight.record(obs::FlightEventKind::Note, "admin-test");
   {
-    obs::ScopedSpan span(&telemetry.tracer, 1, 0, "rpc.decide");
+    obs::StagedSpan span(&telemetry.tracer, 1, 0, "rpc.decide");
   }
 
   AdminHttpServer http(telemetry, 0);

@@ -23,6 +23,7 @@
 
 #include "core/via_policy.h"
 #include "obs/export.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "rpc/client.h"
@@ -864,7 +865,9 @@ TEST_F(BackendReactor, ForcedCloseWithPendingWrites) {
   ControllerServer server(policy, 0, cfg);
   server.start();
 
-  constexpr int kFrames = 50'000;
+  // ~9 MB of replies, more than socket buffering absorbs: the connection
+  // is still paused with both when the drain deadline hits.
+  constexpr int kFrames = 300'000;
   TcpConnection conn = TcpConnection::connect_local(server.port());
   std::thread sender([&] {
     try {
@@ -885,6 +888,119 @@ TEST_F(BackendReactor, ForcedCloseWithPendingWrites) {
   // returns; only then is the client fd safe to close.
   sender.join();
   conn.close();
+}
+
+TEST_F(BackendReactor, ReactorRecordsItsOwnInstruments) {
+  // The reactor writes its connection-level instruments into the server's
+  // registry and flight recorder: accepts, connection errors,
+  // backpressure edges, and the rpc.server.inflight gauge, which must
+  // settle to 0 when a paused connection is closed with frames it decoded
+  // but never served (the backpressure gauges must drop it too).
+  ModuloPolicy policy;
+  ServerConfig cfg = config();
+  cfg.write_buffer_cap = 4 * 1024;
+  cfg.drain_timeout_ms = 200;
+  ControllerServer server(policy, 0, cfg);
+  server.start();
+  auto gauge = [&](const char* name) {
+    return server.telemetry().registry.snapshot().gauge_value(name);
+  };
+  auto flight_events = [&](obs::FlightEventKind kind) {
+    int n = 0;
+    for (const obs::FlightEvent& e : server.telemetry().flight.snapshot()) n += e.kind == kind;
+    return n;
+  };
+  auto wait_for = [](auto done) {
+    for (int i = 0; i < 4000 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return done();
+  };
+  // A connection parked with the socket full: paused with replies still
+  // queued, and no pause edge for 50 ms (while the socket still takes
+  // bytes, a 4 KiB cap pauses and resumes it many times a millisecond).
+  auto parked = [&] {
+    const std::uint64_t pauses = server.backpressure_pauses_total();
+    if (server.backpressure_paused_conns() != 1 || server.backpressure_queued_bytes() == 0) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return server.backpressure_paused_conns() == 1 &&
+           server.backpressure_pauses_total() == pauses;
+  };
+
+  // N connections, each answered once, count N accepts.
+  constexpr int kConns = 3;
+  for (int c = 0; c < kConns; ++c) {
+    TcpConnection conn = TcpConnection::connect_local(server.port());
+    send_frame(conn, static_cast<std::uint8_t>(MsgType::Ping), {});
+    Frame reply;
+    ASSERT_TRUE(recv_frame(conn, reply));
+    EXPECT_EQ(reply.type, static_cast<std::uint8_t>(MsgType::Pong));
+  }
+  EXPECT_EQ(counter_value(server, "rpc.server.accepted_connections"), kConns);
+
+  // A peer that dies partway through a frame is one connection error.
+  {
+    TcpConnection conn = TcpConnection::connect_local(server.port());
+    const std::byte partial[] = {std::byte{64}, std::byte{0}, std::byte{0}, std::byte{0},
+                                 static_cast<std::byte>(MsgType::DecisionRequest), std::byte{1}};
+    conn.send_all(partial);
+    conn.close();
+  }
+  EXPECT_TRUE(wait_for([&] { return counter_value(server, "rpc.server.connection_errors") >= 1; }));
+  EXPECT_EQ(counter_value(server, "rpc.server.connection_errors"), 1);
+  EXPECT_EQ(counter_value(server, "rpc.server.accepted_connections"), kConns + 1);
+
+  // A flood whose replies the client does not read pauses at the write
+  // cap once the socket is full (~9 MB of replies: more than socket
+  // buffering absorbs); reading every reply resumes it.
+  constexpr int kFrames = 300'000;
+  {
+    TcpConnection conn = TcpConnection::connect_local(server.port());
+    conn.set_recv_timeout_ms(30'000);
+    std::thread sender([&] { conn.send_all(encode_decision_burst(kFrames, 0)); });
+    EXPECT_TRUE(wait_for(parked));
+    EXPECT_GE(counter_value(server, "rpc.server.backpressure.paused_total"), 1);
+    EXPECT_EQ(gauge("rpc.server.backpressure.paused_conns"), 1.0);
+    EXPECT_GT(gauge("rpc.server.backpressure.bytes_queued"), 0.0);
+    EXPECT_GE(flight_events(obs::FlightEventKind::BackpressurePause), 1);
+    int got = 0;
+    Frame reply;
+    while (got < kFrames && recv_frame(conn, reply)) ++got;
+    sender.join();
+    EXPECT_EQ(got, kFrames);
+    EXPECT_TRUE(wait_for([&] { return server.backpressure_paused_conns() == 0; }));
+    EXPECT_EQ(gauge("rpc.server.backpressure.paused_conns"), 0.0);
+    EXPECT_GE(flight_events(obs::FlightEventKind::BackpressureResume), 1);
+    EXPECT_EQ(counter_value(server, "rpc.server.backpressure.paused_total"),
+              static_cast<std::int64_t>(server.backpressure_pauses_total()));
+  }
+  EXPECT_TRUE(wait_for([&] { return server.active_handlers() == 0; }));
+  EXPECT_EQ(gauge("rpc.server.inflight"), 0.0);
+
+  // A second flood is never read: it parks holding a decoded batch
+  // remainder (charged as inflight).  The drain deadline force-closes it,
+  // and the close settles the remainder.
+  TcpConnection conn = TcpConnection::connect_local(server.port());
+  std::thread sender([&] {
+    try {
+      conn.send_all(encode_decision_burst(kFrames, 0));
+    } catch (const std::exception&) {
+      // Expected: the forced close resets the stream mid-send.
+    }
+  });
+  EXPECT_TRUE(wait_for(parked));
+  EXPECT_GT(gauge("rpc.server.inflight"), 0.0);
+  server.stop();
+  sender.join();
+  conn.close();
+  EXPECT_EQ(counter_value(server, "rpc.server.drain_forced_closes"), 1);
+  EXPECT_EQ(flight_events(obs::FlightEventKind::DrainForcedClose), 1);
+  EXPECT_EQ(gauge("rpc.server.inflight"), 0.0);
+  EXPECT_EQ(gauge("rpc.server.backpressure.paused_conns"), 0.0);
+  EXPECT_EQ(gauge("rpc.server.backpressure.bytes_queued"), 0.0);
+  EXPECT_EQ(server.active_handlers(), 0u);
 }
 
 TEST_F(BackendReactor, FrameSlotReuseAcrossVaryingFramesAndBackpressure) {

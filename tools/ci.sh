@@ -12,8 +12,9 @@
 # reactor worker hammer in test_reactor, test_rpc, whose servers run
 # reactor workers, test_observability, whose traced servers record spans
 # from reactor threads inside the batched decision path, and test_obs,
-# whose decision-ring hammer records from several threads) under
-# ThreadSanitizer,
+# whose decision-ring hammer records from several threads, and test_chaos,
+# whose shedding drills charge and settle the reactor's inflight count from
+# many connections across workers) under ThreadSanitizer,
 # and VIA_CI_ASAN=1 to run the chaos/fault/RPC/federation tests, the
 # reactor and connection-buffer tests, the hostile-bytes decoder harness,
 # and the concurrent-policy and memory-bound tests (warm decisions serve
@@ -86,10 +87,10 @@ echo "BENCH_scale.json:"
 cat "$BUILD_DIR-release/BENCH_scale.json"
 
 if [[ "${VIA_CI_TSAN:-0}" == "1" ]]; then
-  echo "== tsan: test_parallel + test_concurrent_policy + test_reactor + test_rpc + test_federation + test_obs + test_observability under ThreadSanitizer =="
+  echo "== tsan: test_parallel + test_concurrent_policy + test_reactor + test_rpc + test_federation + test_obs + test_observability + test_chaos under ThreadSanitizer =="
   cmake -B "$BUILD_DIR-tsan" -S . -DVIA_TSAN=ON
   cmake --build "$BUILD_DIR-tsan" -j --target test_parallel test_concurrent_policy test_reactor \
-    test_rpc test_federation test_obs test_observability
+    test_rpc test_federation test_obs test_observability test_chaos
   "$BUILD_DIR-tsan/tests/test_parallel"
   "$BUILD_DIR-tsan/tests/test_concurrent_policy"
   "$BUILD_DIR-tsan/tests/test_reactor"
@@ -97,6 +98,7 @@ if [[ "${VIA_CI_TSAN:-0}" == "1" ]]; then
   "$BUILD_DIR-tsan/tests/test_federation"
   "$BUILD_DIR-tsan/tests/test_obs"
   "$BUILD_DIR-tsan/tests/test_observability"
+  "$BUILD_DIR-tsan/tests/test_chaos"
 fi
 
 if [[ "${VIA_CI_ASAN:-0}" == "1" ]]; then
